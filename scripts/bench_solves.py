@@ -1,0 +1,142 @@
+"""Time the four optimizer solves before and after a change, and write the
+record as ``BENCH_<n>.json``.
+
+    python scripts/bench_solves.py --before OLD_CHECKOUT/src -o BENCH_2.json
+
+Each side runs in its own interpreter with ``PYTHONPATH`` pointing at one
+``src`` directory (``--after`` defaults to this checkout's) and BLAS pinned
+to one thread.  For every fixture below and every solve (``discord_P``,
+``discord_PE(N=4)``, ``discord_two_sided``, ``eof_via_decomposition(K=4)``)
+it records the value (as ``float.hex``), the evaluation count and the median
+wall time over ``--repeats`` rounds; each round runs the old side and then
+the new, so that a slow spell of the host hits both alike.  Values and
+evaluation counts are deterministic and compare across machines; wall
+times do not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+
+import numpy as np
+import scipy
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# The rank-2 fixtures the benchmark's repeated solves and probes run on.
+FIXTURES = tuple(f"rank2_{k:02d}" for k in (0, 1, 2, 4, 6, 7, 9))
+SOLVES = ("P", "PE(4)", "two_sided", "eof(K=4)")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _measure(restarts: int, seed: int) -> list[dict]:
+    """Runs inside the child interpreter, against whichever library it imports."""
+    import time
+
+    from discordium.cli import load_state
+    from discordium.discord import discord_P, discord_PE, discord_two_sided
+    from discordium.entangle import eof_via_decomposition
+    from discordium.optimize import OptimizerConfig
+
+    cfg = OptimizerConfig(restarts=restarts, seed=seed)
+    calls = {
+        "P": lambda rho: discord_P(rho, cfg),
+        "PE(4)": lambda rho: discord_PE(rho, 4, cfg),
+        "two_sided": lambda rho: discord_two_sided(rho, cfg=cfg),
+        "eof(K=4)": lambda rho: eof_via_decomposition(rho.state, 2, 2, K=4, cfg=cfg),
+    }
+    rows = []
+    for name in FIXTURES:
+        rho, _ = load_state(str(ROOT / "fixtures" / f"{name}.json"))
+        for solve in SOLVES:
+            t0 = time.perf_counter()
+            res = calls[solve](rho)
+            wall = time.perf_counter() - t0
+            value = res.eof if solve.startswith("eof") else res.value
+            rows.append({
+                "fixture": name,
+                "solve": solve,
+                "value_hex": float(value).hex(),
+                "evaluations": res.outcome.evaluations,
+                "wall_s": wall,
+            })
+    return rows
+
+
+def _run_side(src: str, args) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(src).resolve()))
+    env.update({var: "1" for var in THREAD_VARS})
+    out = subprocess.run(
+        [sys.executable, __file__, "--child",
+         "--restarts", str(args.restarts), "--seed", str(args.seed)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return json.loads(out.stdout)
+
+
+def _merge(rounds: list[list[dict]]) -> list[dict]:
+    """One row per solve: the first round's value and count, which every
+    round must repeat, and the median wall time."""
+    merged = []
+    for rows in zip(*rounds):
+        first = rows[0]
+        if any((r["value_hex"], r["evaluations"]) != (first["value_hex"], first["evaluations"])
+               for r in rows):
+            raise RuntimeError(f"{first['fixture']} {first['solve']}: rounds disagree")
+        merged.append(dict(first, wall_s=statistics.median(r["wall_s"] for r in rows)))
+    return merged
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--before", help="src directory of the old checkout")
+    p.add_argument("--after", default=str(ROOT / "src"))
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-o", "--output")
+    p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.child:
+        print(json.dumps(_measure(args.restarts, args.seed)))
+        return
+    if not (args.before and args.output):
+        p.error("--before and -o are required")
+    rounds = [(_run_side(args.before, args), _run_side(args.after, args))
+              for _ in range(args.repeats)]
+    before = _merge([b for b, _ in rounds])
+    after = _merge([a for _, a in rounds])
+    rows = []
+    for b, a in zip(before, after):
+        rows.append({
+            "fixture": a["fixture"],
+            "solve": a["solve"],
+            "before": {k: b[k] for k in ("value_hex", "evaluations", "wall_s")},
+            "after": {k: a[k] for k in ("value_hex", "evaluations", "wall_s")},
+            "abs_value_change": abs(float.fromhex(a["value_hex"]) - float.fromhex(b["value_hex"])),
+            "eval_ratio": b["evaluations"] / a["evaluations"],
+            "time_ratio": b["wall_s"] / a["wall_s"],
+        })
+    doc = {
+        "config": {"restarts": args.restarts, "seed": args.seed, "repeats": args.repeats,
+                   "blas_threads": 1},
+        "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
+                 "python": platform.python_version(), "numpy": np.__version__,
+                 "scipy": scipy.__version__},
+        "rows": rows,
+    }
+    pathlib.Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
+    for r in rows:
+        print(f"{r['fixture']:9s} {r['solve']:10s} evals {r['before']['evaluations']:5d} -> "
+              f"{r['after']['evaluations']:5d}  time {r['before']['wall_s']*1e3:7.1f} -> "
+              f"{r['after']['wall_s']*1e3:7.1f} ms  |dvalue| {r['abs_value_change']:.1e}")
+
+
+if __name__ == "__main__":
+    main()

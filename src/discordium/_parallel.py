@@ -1,7 +1,8 @@
 """Internal helpers for bounded, deterministic task fan-out.
 
 The DISCORDIUM_THREADS environment variable caps how many workers the
-verification batteries may use (default cap: hardware concurrency).
+verification batteries may use (default and upper limit: hardware
+concurrency).
 Battery trials are seconds-long and independent, so they fan out across
 processes; optimizer restarts are dominated by small-matrix numpy calls
 that CPython threads only slow down, so they stay serial.  Results are
@@ -10,6 +11,7 @@ always merged by task index, making the outcome schedule-independent.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
@@ -18,14 +20,15 @@ T = TypeVar("T")
 
 
 def worker_cap() -> int:
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("DISCORDIUM_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return cpus
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"DISCORDIUM_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+    return min(max(1, n), cpus)
 
 
 def run_indexed(fn: Callable[[int], T], n: int) -> list[T]:
@@ -35,9 +38,16 @@ def run_indexed(fn: Callable[[int], T], n: int) -> list[T]:
 
 def process_map(fn: Callable[..., T], argument_tuples: Sequence[tuple]) -> list[T]:
     """Map a picklable function over argument tuples, in parallel when the
-    worker cap allows, preserving argument order in the results."""
-    workers = min(worker_cap(), len(argument_tuples))
-    if workers <= 1 or len(argument_tuples) <= 1:
+    worker cap allows, preserving argument order in the results.
+
+    Tasks go to the workers in chunks of about a quarter of each worker's
+    share, so per-task IPC does not eat the fan-out while the chunks stay
+    small enough to balance uneven trials.
+    """
+    n = len(argument_tuples)
+    workers = min(worker_cap(), n)
+    if workers <= 1:
         return [fn(*args) for args in argument_tuples]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*argument_tuples)))
+        chunk = math.ceil(n / (4 * workers))
+        return list(pool.map(fn, *zip(*argument_tuples), chunksize=chunk))

@@ -57,13 +57,17 @@ def _value_to_json(x: float):
     return float(f"{x:.12g}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_state(path: str) -> tuple[BipartiteState, str]:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or a NaN/Infinity literal
         raise InputError(f"parse error in {path}: {exc}")
     try:
         n_a, n_b = (int(d) for d in doc["dims"])
@@ -333,7 +337,7 @@ def cmd_make(args) -> int:
         if args.probs is None:
             raise InputError("--kind classical needs --probs")
         probs = args.probs
-        if abs(sum(probs) - 1.0) > 1e-10:
+        if not abs(sum(probs) - 1.0) <= 1e-10:
             raise InputError(f"probabilities must sum to 1, got {sum(probs)}")
         n_b = args.dims[1] if args.dims else len(probs)
         branches = []

@@ -31,6 +31,7 @@ from .measure import (
     RankOnePOVM,
     apply_one_sided,
     branch_ensemble,
+    from_neumark,
     neumark_kraus,
     projective_kraus,
     rank_one_kraus,
@@ -59,7 +60,7 @@ class DiscordResult:
     outcome: OptimizationOutcome
 
     def __post_init__(self):
-        if self.value < -1e-7:
+        if not self.value >= -1e-7:
             raise ValueError(f"discord value {self.value} below the -1e-7 floor")
 
 
@@ -119,12 +120,12 @@ def _branch_entropy_contrib(conds: np.ndarray) -> np.ndarray:
     if conds.shape[-1] == 2:
         t = (conds[:, 0, 0] + conds[:, 1, 1]).real
         det = (conds[:, 0, 0] * conds[:, 1, 1] - conds[:, 0, 1] * conds[:, 1, 0]).real
-        disc = np.sqrt(np.clip(t * t - 4 * det, 0, None))
-        lam = np.stack([(t - disc) / 2, (t + disc) / 2], axis=1)
-    else:
-        lam = np.linalg.eigvalsh(conds)
-        t = lam.sum(axis=1)
-    return _xlog2x_fast(t) - _xlog2x_fast(lam).sum(axis=1)
+        disc = np.sqrt(np.maximum(t * t - 4 * det, 0))
+        return _xlog2x_fast(t) - (
+            _xlog2x_fast((t - disc) / 2) + _xlog2x_fast((t + disc) / 2)
+        )
+    lam = np.linalg.eigvalsh(conds)
+    return _xlog2x_fast(lam.sum(axis=1)) - _xlog2x_fast(lam).sum(axis=1)
 
 
 def _ensemble_term(conds: np.ndarray) -> float:
@@ -150,8 +151,19 @@ def default_extension_dim(rho: BipartiteState) -> int:
     return min(max(r * r, rho.n_A), rho.n_A * rho.n_A)
 
 
+def _chart_size(N: int, n: int) -> int:
+    """Angles of the search chart for an N x N basis acting on an n system.
+
+    A projective side (N == n) needs its basis only up to column phases, so
+    it takes the zero-diagonal generator's N(N-1) angles; an extension
+    (N > n) keeps all N^2.
+    """
+    return N * N if N > n else N * (N - 1)
+
+
 def discord_P(rho: BipartiteState, cfg: OptimizerConfig | None = None) -> DiscordResult:
-    """Discord over projective measurements on A."""
+    """Discord over projective measurements on A, searched over bases up to
+    column phases (the projective chart of :func:`unitary_from_vector`)."""
     cfg = cfg or OptimizerConfig()
     n_A, n_B = rho.n_A, rho.n_B
     const = _entropy_constant(rho)
@@ -161,7 +173,7 @@ def discord_P(rho: BipartiteState, cfg: OptimizerConfig | None = None) -> Discor
         u = unitary_from_vector(x, n_A)
         return const + _ensemble_term(_conditional_blocks(pair, u.T, n_B))
 
-    out = minimize_vector(objective, n_A * n_A, cfg)
+    out = minimize_vector(objective, _chart_size(n_A, n_A), cfg)
     basis = ProjectiveBasis(n_A, unitary_from_vector(out.best_params, n_A))
     return DiscordResult("P", out.best_value, basis, out)
 
@@ -200,8 +212,6 @@ def discord_R(
     """Discord over rank-1 POVMs; identical to the Neumark-extended infimum,
     so this runs the same search and reports the restricted POVM."""
     res = discord_PE(rho, N, cfg)
-    from .measure import from_neumark
-
     return DiscordResult("R", res.value, from_neumark(res.measurement), res.outcome)
 
 
@@ -216,7 +226,8 @@ def discord_two_sided(
     Minimizes S(rho_A)+S(rho_B)-S(rho_AB) + [S(post_AB)-S(post_A)-S(post_B)]
     over pairs of extension bases.  Extension sizes default to the system
     dimensions (the projective members of each side's family); raising them
-    can only lower the value.
+    can only lower the value.  A side whose extension size equals its
+    system size is searched over bases up to column phases.
     """
     cfg = cfg or OptimizerConfig()
     N_A = rho.n_A if N_A is None else N_A
@@ -226,11 +237,11 @@ def discord_two_sided(
     n_A, n_B = rho.n_A, rho.n_B
     const = mutual_information(rho)
     pair = _pair_matrix(rho)
-    na2 = N_A * N_A
+    k_a = _chart_size(N_A, n_A)
 
     def objective(x):
-        u_a = unitary_from_vector(x[:na2], N_A)
-        u_b = unitary_from_vector(x[na2:], N_B)
+        u_a = unitary_from_vector(x[:k_a], N_A)
+        u_b = unitary_from_vector(x[k_a:], N_B)
         q = _classical_joint(pair, u_a[:n_A, :].T, u_b[:n_B, :].T, n_B)
         # post-measurement state is diagonal in the product extension basis,
         # so the bracket reduces to classical entropies of the outcome table
@@ -240,9 +251,9 @@ def discord_two_sided(
             - _xlog2x_fast(q.ravel()).sum()
         )
 
-    out = minimize_vector(objective, na2 + N_B * N_B, cfg)
-    nb_a = NeumarkBasis(n_A, N_A, unitary_from_vector(out.best_params[:na2], N_A))
-    nb_b = NeumarkBasis(n_B, N_B, unitary_from_vector(out.best_params[na2:], N_B))
+    out = minimize_vector(objective, k_a + _chart_size(N_B, n_B), cfg)
+    nb_a = NeumarkBasis(n_A, N_A, unitary_from_vector(out.best_params[:k_a], N_A))
+    nb_b = NeumarkBasis(n_B, N_B, unitary_from_vector(out.best_params[k_a:], N_B))
     return DiscordResult(f"two_sided_PE({N_A},{N_B})", out.best_value, (nb_a, nb_b), out)
 
 

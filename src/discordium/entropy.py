@@ -69,8 +69,3 @@ def mutual_information(rho: BipartiteState) -> Bits:
         + von_neumann(partial_trace(rho, "B"))
         - von_neumann(rho.state)
     )
-
-
-def shannon(probs) -> Bits:
-    """Shannon entropy of a probability vector, in bits."""
-    return entropy_of_spectrum(np.asarray(probs, dtype=float))

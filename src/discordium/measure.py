@@ -57,7 +57,7 @@ class KrausSet:
                 )
         total = sum(dag(a) @ a for a in ops)
         resid = np.abs(total - np.eye(self.dim)).max()
-        if resid > HERM_TOL:
+        if not resid <= HERM_TOL:
             raise ValueError(f"not complete: max |sum A^dag A - I| = {resid:.3e} > {HERM_TOL}")
         frozen = []
         for a in ops:
@@ -83,7 +83,7 @@ class ProjectiveBasis:
         if u.shape != (self.dim, self.dim):
             raise ValueError(f"basis must be {self.dim}x{self.dim}, got {u.shape}")
         resid = np.abs(dag(u) @ u - np.eye(self.dim)).max()
-        if resid > UNITARY_TOL:
+        if not resid <= UNITARY_TOL:
             raise ValueError(f"not unitary: max |U^dag U - I| = {resid:.3e} > {UNITARY_TOL}")
         u = u.copy()
         u.setflags(write=False)
@@ -111,7 +111,7 @@ class RankOnePOVM:
             raise ValueError("zero-weight vector present; drop it before construction")
         total = np.einsum("ga,gb->ab", v, v.conj())
         resid = np.abs(total - np.eye(self.dim)).max()
-        if resid > HERM_TOL:
+        if not resid <= HERM_TOL:
             raise ValueError(f"not complete: max |sum |g><g| - I| = {resid:.3e} > {HERM_TOL}")
         v = v.copy()
         v.setflags(write=False)
@@ -143,7 +143,7 @@ class NeumarkBasis:
         if u.shape != (self.N, self.N):
             raise ValueError(f"extension basis must be {self.N}x{self.N}, got {u.shape}")
         resid = np.abs(dag(u) @ u - np.eye(self.N)).max()
-        if resid > UNITARY_TOL:
+        if not resid <= UNITARY_TOL:
             raise ValueError(f"not unitary: max |U^dag U - I| = {resid:.3e} > {UNITARY_TOL}")
         u = u.copy()
         u.setflags(write=False)
@@ -158,7 +158,7 @@ class ConditionalEnsemble:
 
     def __post_init__(self):
         total = sum(p for p, _ in self.branches)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"branch probabilities sum to {total!r}, not 1")
 
 

@@ -1,42 +1,30 @@
-"""Minimization over the unitary group U(N).
+"""Seeded multi-restart Nelder-Mead over flat real parameter vectors, and
+the exp(iH) chart that turns such a vector into a unitary.
 
-The group is parameterized surjectively as U = exp(iH) with H Hermitian,
-assembled from N^2 real angles (N diagonal entries, then the upper
-triangle as re/im pairs row by row).  Objectives built on eigenvalue
-entropies have kinks at spectral degeneracies, so the search is
-derivative-free: multi-restart Nelder-Mead, each restart re-anchoring its
-simplex at the incumbent until the improvement drops below f_tol.
-Everything is deterministic for a fixed seed; the first restart always
-starts at the zero vector (the identity).
+A unitary is U = exp(iH) with H Hermitian.  The full chart reads H from
+N^2 real angles (N diagonal entries, then the upper triangle as re/im
+pairs row by row) and covers U(N).  Where only the basis matters, as for a
+projective measurement, the phase of each column is irrelevant, so the N
+diagonal angles are dead parameters; the projective chart keeps the
+zero-diagonal H and its N(N-1) angles (the flag-manifold quotient of
+Edelman, Arias and Smith, SIAM J. Matrix Anal. Appl. 20, 303 (1998)).
+Objectives built on eigenvalue entropies have kinks at spectral
+degeneracies, so the search is derivative-free: multi-restart
+Nelder-Mead, each restart re-anchoring its simplex at the incumbent until
+the improvement drops below f_tol.  Everything is deterministic for a
+fixed seed; the first restart always starts at the zero vector (the
+identity).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
 from ._parallel import run_indexed
-from .qmat import dag
-
-UNITARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class UnitaryParams:
-    """N^2 real angles encoding an N x N unitary via exp(iH)."""
-
-    N: int
-    params: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.params, dtype=float).ravel()
-        if p.size != self.N * self.N:
-            raise ValueError(f"need {self.N * self.N} parameters, got {p.size}")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "params", p)
 
 
 @dataclass(frozen=True)
@@ -58,50 +46,60 @@ class OptimizerConfig:
 class OptimizationOutcome:
     """Best restart of a multi-restart search.
 
-    ``best_params`` is a ``UnitaryParams`` for single-group searches and a
-    raw parameter vector for product searches (two-sided measurements).
+    ``best_params`` is the flat parameter vector of the best restart;
+    callers rebuild their unitaries from it with
+    :func:`unitary_from_vector`.
     """
 
     best_value: float
-    best_params: "UnitaryParams | np.ndarray"
+    best_params: np.ndarray
     evaluations: int
     restart_values: tuple[float, ...]
     converged: bool
 
 
-_TRIU_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Flat positions in an n x n matrix of the diagonal, the strict upper
+# triangle (row by row) and its mirror, per n.
+_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _TRIU_CACHE:
-        _TRIU_CACHE[n] = np.triu_indices(n, k=1)
-    return _TRIU_CACHE[n]
-
-
-def to_hermitian(params: np.ndarray, n: int) -> np.ndarray:
-    """Assemble the Hermitian generator from n^2 reals: n diagonal entries,
-    then the strict upper triangle row by row as (re, im) pairs."""
-    h = np.zeros((n, n), dtype=np.complex128)
-    h[np.diag_indices(n)] = params[:n]
-    rows, cols = _triu_indices(n)
-    off = params[n::2] + 1j * params[n + 1 :: 2]
-    h[rows, cols] = off
-    h[cols, rows] = off.conj()
-    return h
-
-
-def to_unitary(p: UnitaryParams) -> np.ndarray:
-    """exp(iH) for the Hermitian H encoded by the parameters."""
-    return unitary_from_vector(p.params, p.N)
+def _flat_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if n not in _INDEX_CACHE:
+        rows, cols = np.triu_indices(n, k=1)
+        _INDEX_CACHE[n] = (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)
+    return _INDEX_CACHE[n]
 
 
 def unitary_from_vector(params: np.ndarray, n: int) -> np.ndarray:
-    params = np.asarray(params, dtype=float).ravel()
-    if params.size != n * n:
-        raise ValueError(f"need {n * n} parameters, got {params.size}")
-    h = to_hermitian(params, n)
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(1j * evals)) @ dag(evecs)
+    """exp(iH) for the Hermitian generator H encoded by a 1-d float array.
+
+    n^2 angles give the full chart: n diagonal entries, then the strict
+    upper triangle row by row as (re, im) pairs.  n(n-1) angles give the
+    projective chart: the same upper triangle under a zero diagonal.  For
+    n = 2 that generator is H = [[0, z], [z*, 0]] with H^2 = |z|^2 I, so
+    exp(iH) = cos|z| I + i (sin|z| / |z|) H, with no eigensolver call.
+    """
+    full = n * n
+    if len(params) == full:
+        k = n  # angles before the upper triangle
+    elif len(params) == full - n:
+        k = 0
+        if n == 2:
+            z = complex(params[0], params[1])
+            r = abs(z)
+            c, s = math.cos(r), (math.sin(r) / r if r else 1.0)
+            return np.array([[c, 1j * s * z], [1j * s * z.conjugate(), c]])
+    else:
+        raise ValueError(f"need {full} or {full - n} parameters, got {len(params)}")
+    diag, upper, lower = _flat_indices(n)
+    h = np.zeros(full, dtype=np.complex128)
+    if k:
+        h[diag] = params[:k]
+    off = params[k::2] + 1j * params[k + 1 :: 2]
+    h[upper] = off
+    h[lower] = off.conj()
+    evals, evecs = np.linalg.eigh(h.reshape(n, n))
+    return (evecs * np.exp(1j * evals)) @ evecs.conj().T
 
 
 def _start_point(seed: int, restart: int, n_params: int) -> np.ndarray:
@@ -164,16 +162,4 @@ def minimize_vector(objective, n_params: int, cfg: OptimizerConfig) -> Optimizat
         evaluations=sum(r[2] for r in results),
         restart_values=values,
         converged=results[best][3],
-    )
-
-
-def minimize(objective, N: int, cfg: OptimizerConfig) -> OptimizationOutcome:
-    """Minimize a real objective of a unitary over U(N)."""
-    out = minimize_vector(lambda x: objective(UnitaryParams(N, x)), N * N, cfg)
-    return OptimizationOutcome(
-        best_value=out.best_value,
-        best_params=UnitaryParams(N, out.best_params),
-        evaluations=out.evaluations,
-        restart_values=out.restart_values,
-        converged=out.converged,
     )

@@ -58,13 +58,13 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         herm = np.abs(m - dag(m)).max()
-        if herm > HERM_TOL:
+        if not herm <= HERM_TOL:
             raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e} > {HERM_TOL}")
         tr = abs(np.trace(m) - 1.0)
-        if tr > HERM_TOL:
+        if not tr <= HERM_TOL:
             raise ValueError(f"trace not 1: |tr M - 1| = {tr:.3e} > {HERM_TOL}")
         evals = np.linalg.eigvalsh((m + dag(m)) / 2)
-        if evals[0] < -HERM_TOL:
+        if not evals[0] >= -HERM_TOL:
             raise ValueError(
                 f"not positive semidefinite: min eigenvalue = {evals[0]:.3e} < -{HERM_TOL}"
             )
@@ -110,7 +110,7 @@ class PureState:
         if amps.size != n_A * n_B:
             raise ValueError(f"amplitude length {amps.size} != {n_A}*{n_B}")
         norm = abs(np.vdot(amps, amps).real - 1.0)
-        if norm > NORM_TOL:
+        if not norm <= NORM_TOL:
             raise ValueError(f"not normalized: |<psi|psi> - 1| = {norm:.3e} > {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -167,7 +167,7 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"eigh needs a square matrix, got shape {m.shape}")
     herm = np.abs(m - dag(m)).max()
-    if herm > HERM_TOL:
+    if not herm <= HERM_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e} > {HERM_TOL}")
     return np.linalg.eigh((m + dag(m)) / 2)
 
@@ -232,7 +232,7 @@ def classical_state(probs, branch_states, basis=None) -> BipartiteState:
     B-side density matrix (array or DensityMatrix) per probability.
     """
     probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-10:
+    if not abs(probs.sum() - 1.0) <= 1e-10:
         raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
     if np.any(probs < 0):
         raise ValueError("probabilities must be nonnegative")

@@ -23,9 +23,9 @@ from discordium.discord import (
 )
 from discordium.entangle import eof_2q, eof_via_decomposition, koashi_winter_residual
 from discordium.entropy import (
+    entropy_of_spectrum,
     mutual_information,
     relative_entropy,
-    shannon,
     von_neumann,
 )
 from discordium.measure import (
@@ -244,7 +244,7 @@ def test_criterion_09_entropy_identities():
         # branch states live on 2*n_b, so this classical state is (2)x(2 n_b)
         cl = classical_state(probs, branches)
         joint_lhs = von_neumann(cl.state)
-        joint_rhs = shannon(probs) + sum(
+        joint_rhs = entropy_of_spectrum(probs) + sum(
             p * von_neumann(b) for p, b in zip(probs, branches)
         )
         worst_joint = max(worst_joint, abs(joint_lhs - joint_rhs))

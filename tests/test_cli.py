@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from discordium.cli import (
+    InputError,
     deserialize_measurement,
     load_state,
     main,
@@ -59,6 +60,18 @@ class TestStateIO:
         code, _, err = run_cli(capsys, "entropy", str(path))
         assert code == 2
         assert "invalid state" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, capsys, literal):
+        rows = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        text = json.dumps({"dims": [2, 2], "matrix": rows}).replace("0.25", literal, 1)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match="non-finite"):
+            load_state(str(path))
+        code, _, err = run_cli(capsys, "entropy", str(path))
+        assert code == 2
+        assert "non-finite" in err
 
 
 class TestMeasurementSerialization:

@@ -1,6 +1,9 @@
+import pathlib
+
 import numpy as np
 import pytest
 
+from discordium.cli import load_state
 from discordium.discord import (
     DiscordResult,
     default_extension_dim,
@@ -14,6 +17,7 @@ from discordium.discord import (
     loss_functional,
     two_sided_loss,
 )
+from discordium.entangle import eof_via_decomposition
 from discordium.entropy import mutual_information
 from discordium.measure import (
     KrausSet,
@@ -41,6 +45,7 @@ from discordium.verify import grid_discord_qubit, grid_discord_two_sided, random
 
 FAST = OptimizerConfig(restarts=6, max_iters=1200, seed=0)
 FAST_PE = OptimizerConfig(restarts=5, max_iters=4000, seed=0)
+RANK2_00 = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "rank2_00.json"
 
 
 def comp_kraus(n):
@@ -109,6 +114,13 @@ class TestDiscordP:
     def test_reevaluation_matches(self):
         rho = ginibre_state(2, 2, 3, seed=4)
         res = discord_P(rho, FAST)
+        assert abs(evaluate_measurement(rho, res.measurement) - res.value) < 1e-9
+
+    def test_qutrit_basis_reevaluates(self):
+        # n_A = 3 runs the zero-diagonal chart through the eigensolver
+        rho = ginibre_state(3, 3, 4, seed=5)
+        res = discord_P(rho, OptimizerConfig(restarts=2, seed=0))
+        assert len(res.outcome.best_params) == 6
         assert abs(evaluate_measurement(rho, res.measurement) - res.value) < 1e-9
 
 
@@ -204,6 +216,14 @@ class TestTwoSided:
         with pytest.raises(ValueError):
             discord_two_sided(bell_state(), N_A=1, cfg=FAST)
 
+    def test_extension_side_keeps_full_chart(self):
+        # an extended side needs all N^2 angles, a projective side N(N-1)
+        rho = ginibre_state(2, 2, 2, seed=19)
+        res = discord_two_sided(rho, N_A=3, cfg=OptimizerConfig(restarts=1, seed=0))
+        assert len(res.outcome.best_params) == 9 + 2
+        nb_a, nb_b = res.measurement
+        assert abs(two_sided_loss(rho, nb_a, nb_b) - res.value) < 1e-9
+
 
 class TestIsClassical:
     def test_classical_state(self):
@@ -232,6 +252,10 @@ class TestDiscordResult:
         with pytest.raises(ValueError):
             DiscordResult("P", -1e-3, None, None)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            DiscordResult("P", float("nan"), None, None)
+
     def test_pe_ensemble_equals_neumark_and_povm_routes(self):
         # the restriction of an extension basis and the basis itself give
         # the same ensemble loss
@@ -240,3 +264,25 @@ class TestDiscordResult:
         via_neumark = ensemble_loss(rho, neumark_kraus(nb))
         via_povm = ensemble_loss(rho, rank_one_kraus(from_neumark(nb)))
         assert abs(via_neumark - via_povm) < 1e-10
+
+
+class TestPinnedTrajectories:
+    """The extension and EOF searches keep the full U(N) chart; their
+    values and evaluation counts are pinned bit for bit, so a change to the
+    shared kernels that moves any trajectory shows here.  The figures were
+    recorded before the projective chart and the kernel trims landed, on
+    x86_64 with numpy 2.4 and OpenBLAS; another BLAS build may round
+    differently and need them re-recorded."""
+
+    CFG = OptimizerConfig(restarts=2, seed=0)
+
+    def test_discord_pe(self):
+        res = discord_PE(load_state(str(RANK2_00))[0], 4, self.CFG)
+        assert res.value.hex() == "0x1.445524eb3931dp-2"
+        assert res.outcome.evaluations == 6967
+
+    def test_eof_via_decomposition(self):
+        rho = load_state(str(RANK2_00))[0]
+        res = eof_via_decomposition(rho.state, 2, 2, K=4, cfg=self.CFG)
+        assert res.eof.hex() == "0x1.946529b2bc14cp-2"
+        assert res.outcome.evaluations == 6275

@@ -5,9 +5,9 @@ import pytest
 
 from discordium.entropy import (
     conditional_entropy,
+    entropy_of_spectrum,
     mutual_information,
     relative_entropy,
-    shannon,
     von_neumann,
 )
 from discordium.measure import apply_one_sided, random_kraus
@@ -158,7 +158,9 @@ class TestIdentities:
             branches = [rand_density(2, rng) for _ in range(n_a)]
             rho = classical_state(probs, branches)
             lhs = von_neumann(rho.state)
-            rhs = shannon(probs) + sum(p * von_neumann(b) for p, b in zip(probs, branches))
+            rhs = entropy_of_spectrum(probs) + sum(
+                p * von_neumann(b) for p, b in zip(probs, branches)
+            )
             assert abs(lhs - rhs) < 1e-9
 
 

@@ -272,6 +272,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="zero-weight"):
             RankOnePOVM(2, vecs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        eye = np.eye(2, dtype=complex)
+        eye[0, 0] = bad
+        ext = np.eye(3, dtype=complex)
+        ext[0, 0] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0 inside the checks
+            with pytest.raises(ValueError, match="complete"):
+                KrausSet(2, (eye,))
+            with pytest.raises(ValueError, match="unitary"):
+                ProjectiveBasis(2, eye)
+            with pytest.raises(ValueError, match="unitary"):
+                NeumarkBasis(2, 3, ext)
+            with pytest.raises(ValueError, match="complete"):
+                RankOnePOVM(2, eye)
+
     def test_neumark_too_small(self):
         with pytest.raises(ValueError):
             NeumarkBasis(3, 2, np.eye(2))

@@ -251,6 +251,18 @@ class TestInvariantValidation:
     def test_rank(self):
         assert DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0])).rank == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf inside the checks
+            with pytest.raises(ValueError):
+                DensityMatrix(m)
+            with pytest.raises(ValueError):
+                PureState((2, 2), np.array([bad, 0.0, 0.0, 0.0]))
+            with pytest.raises(ValueError):
+                classical_state([bad, 0.5], [np.eye(2) / 2, np.eye(2) / 2])
+
     def test_pure_state_norm(self):
         with pytest.raises(ValueError, match="normalized"):
             PureState((2, 2), np.array([1.0, 1.0, 0.0, 0.0]))
