@@ -7,8 +7,9 @@ Each side runs in its own interpreter with ``PYTHONPATH`` pointing at one
 ``src`` directory (``--after`` defaults to this checkout's) and BLAS pinned
 to one thread.  For every fixture below and every solve (``discord_P``,
 ``discord_PE(N=4)``, ``discord_two_sided``, ``eof_via_decomposition(K=4)``)
-it records the value (as ``float.hex``), the evaluation count and the median
-wall time over ``--repeats`` rounds; each round runs the old side and then
+it records the value (as ``float.hex``), the evaluation count, the path the
+solve took (``exact`` or ``optimizer``) and the median wall time over
+``--repeats`` rounds; each round runs the old side and then
 the new, so that a slow spell of the host hits both alike.  Values and
 evaluation counts are deterministic and compare across machines; wall
 times do not.
@@ -64,6 +65,9 @@ def _measure(restarts: int, seed: int) -> list[dict]:
                 "solve": solve,
                 "value_hex": float(value).hex(),
                 "evaluations": res.outcome.evaluations,
+                # EOF results, and discord results of a library without the
+                # exact path, carry no path: they come from the search
+                "path": getattr(res, "path", "optimizer"),
                 "wall_s": wall,
             })
     return rows
@@ -86,8 +90,8 @@ def _merge(rounds: list[list[dict]]) -> list[dict]:
     merged = []
     for rows in zip(*rounds):
         first = rows[0]
-        if any((r["value_hex"], r["evaluations"]) != (first["value_hex"], first["evaluations"])
-               for r in rows):
+        key = ("value_hex", "evaluations", "path")
+        if any(tuple(r[k] for k in key) != tuple(first[k] for k in key) for r in rows):
             raise RuntimeError(f"{first['fixture']} {first['solve']}: rounds disagree")
         merged.append(dict(first, wall_s=statistics.median(r["wall_s"] for r in rows)))
     return merged
@@ -117,10 +121,11 @@ def main() -> None:
         rows.append({
             "fixture": a["fixture"],
             "solve": a["solve"],
-            "before": {k: b[k] for k in ("value_hex", "evaluations", "wall_s")},
-            "after": {k: a[k] for k in ("value_hex", "evaluations", "wall_s")},
+            "before": {k: b[k] for k in ("value_hex", "evaluations", "path", "wall_s")},
+            "after": {k: a[k] for k in ("value_hex", "evaluations", "path", "wall_s")},
             "abs_value_change": abs(float.fromhex(a["value_hex"]) - float.fromhex(b["value_hex"])),
-            "eval_ratio": b["evaluations"] / a["evaluations"],
+            # null where the after side ran no evaluations (the exact path)
+            "eval_ratio": b["evaluations"] / a["evaluations"] if a["evaluations"] else None,
             "time_ratio": b["wall_s"] / a["wall_s"],
         })
     doc = {
@@ -133,7 +138,8 @@ def main() -> None:
     }
     pathlib.Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
     for r in rows:
-        print(f"{r['fixture']:9s} {r['solve']:10s} evals {r['before']['evaluations']:5d} -> "
+        print(f"{r['fixture']:9s} {r['solve']:10s} {r['after']['path']:9s} "
+              f"evals {r['before']['evaluations']:5d} -> "
               f"{r['after']['evaluations']:5d}  time {r['before']['wall_s']*1e3:7.1f} -> "
               f"{r['after']['wall_s']*1e3:7.1f} ms  |dvalue| {r['abs_value_change']:.1e}")
 

@@ -15,10 +15,19 @@ For a fixed measurement the two evaluation routes are ``loss_functional``
 (average entropy of the conditional B states); they agree for rank-1
 measurements and the ensemble form never increases under rank-1
 refinement.
+
+``discord_P`` and ``discord_PE`` take ``method="auto" | "exact" |
+"optimize"``.  A two-qubit state of rank <= 2 has an exact path: purified
+with a qubit C, its extended discord is EOF(BC) + S(A) - S(AB) (Koashi and
+Winter, PRA 69, 022309 (2004)), and Wootters' construction of the optimal
+BC decomposition (PRL 80, 2245 (1998)) is induced by a projective A-basis,
+so D_P = D_PE and the basis comes in closed form.  ``auto`` takes it where
+it applies and the multi-restart search everywhere else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +59,23 @@ Measurement = (
 )
 
 
+METHODS = ("auto", "exact", "optimize")
+
+
 @dataclass(frozen=True)
 class DiscordResult:
-    """A discord value in bits with the optimizing measurement attached."""
+    """A discord value in bits with the optimizing measurement attached.
+
+    ``path`` names how the measurement was found: ``"optimizer"`` (the
+    multi-restart search) or ``"exact"`` (the closed-form basis, with
+    ``outcome.evaluations == 0``).
+    """
 
     variant: str
     value: float
     measurement: object
     outcome: OptimizationOutcome
+    path: str = "optimizer"
 
     def __post_init__(self):
         if not self.value >= -1e-7:
@@ -161,58 +179,138 @@ def _chart_size(N: int, n: int) -> int:
     return N * N if N > n else N * (N - 1)
 
 
-def discord_P(rho: BipartiteState, cfg: OptimizerConfig | None = None) -> DiscordResult:
-    """Discord over projective measurements on A, searched over bases up to
-    column phases (the projective chart of :func:`unitary_from_vector`)."""
-    cfg = cfg or OptimizerConfig()
+# sigma_y (x) sigma_y on the BC pair; real, so tau below needs no conj of it
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+
+
+def _exact_path(rho: BipartiteState, method: str) -> bool:
+    """Whether a solve takes the closed-form basis (see module docstring)."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    eligible = rho.n_A == rho.n_B == 2 and rho.state.rank <= 2
+    if method == "exact" and not eligible:
+        raise ValueError(
+            f"no exact path for a {rho.n_A}x{rho.n_B} state of rank {rho.state.rank}: "
+            "it needs a two-qubit state of rank <= 2"
+        )
+    return eligible and method != "optimize"
+
+
+def _koashi_winter_generator(rho: BipartiteState) -> complex:
+    """The off-diagonal entry z of the qubit-chart generator whose first
+    basis column induces Wootters' optimal decomposition of rho_BC.
+
+    rho_AB is purified with a qubit C from its two largest eigenpairs; the
+    SVD of the A | BC amplitude matrix M = U diag(s) Vh gives the
+    subnormalized BC vectors v_i = s_i Vh[i], and measuring A in the basis
+    G = U T^dag leaves the BC ensemble T v.  Wootters' T is
+    O(theta) diag(1, i) Q^T: Q Takagi-factors tau_ij = v_i^dag (sy x sy)
+    v_j*, and the real rotation O(theta) gives every element concurrence
+    C = lambda_1 - lambda_2.
+    """
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    amps = evecs[:, 2:] * np.sqrt(np.maximum(evals[2:], 0.0))  # (AB, C)
+    u, s, vh = np.linalg.svd(amps.reshape(2, 4))  # rows A, columns (B, C)
+    v = s[:, None] * vh[:2]
+    tau = v.conj() @ _SIGMA_YY @ v.conj().T
+    # Takagi tau = Q diag(lam) Q^T: tau conj(q) = lam q is the real
+    # symmetric eigenproblem below; its spectrum is +-lam.
+    lam, vec = np.linalg.eigh(np.block([[tau.real, tau.imag], [tau.imag, -tau.real]]))
+    lam, vec = lam[[3, 2]], vec[:, [3, 2]]
+    q = vec[:2] + 1j * vec[2:]  # columns q_k
+    y = (q.T @ v) * np.array([[1.0], [1j]])
+    c = lam[0] - lam[1]
+    theta = 0.5 * math.atan2(
+        lam[0] - c * np.vdot(y[0], y[0]).real, c * np.vdot(y[0], y[1]).real
+    )
+    # first row of T, and the basis column it gives
+    g = u @ (math.cos(theta) * q[:, 0] + 1j * math.sin(theta) * q[:, 1]).conj()
+    g = g / np.linalg.norm(g)
+    # chart column 0 is (cos r, i (sin r / r) z*) with r = |z|
+    a = abs(g[0])
+    b = g[1] * (g[0].conjugate() / a) if a else g[1]
+    r = math.atan2(abs(b), a)
+    return 1j * b.conjugate() * (r / abs(b)) if abs(b) else 0j
+
+
+def _one_sided(
+    rho: BipartiteState, N: int, n_params: int, cfg: OptimizerConfig, method: str
+) -> tuple[OptimizationOutcome, np.ndarray, str]:
+    """Best basis of an N >= n_A extension of A, acting through its
+    restriction; returns the outcome, the basis and the path taken.
+
+    The exact path writes its basis as chart angles (z in the first
+    off-diagonal slot of the generator) and rebuilds it once, as the
+    search rebuilds its best point, so its value is the loss of the
+    returned basis.
+    """
     n_A, n_B = rho.n_A, rho.n_B
     const = _entropy_constant(rho)
     pair = _pair_matrix(rho)
 
-    def objective(x):
-        u = unitary_from_vector(x, n_A)
-        return const + _ensemble_term(_conditional_blocks(pair, u.T, n_B))
+    def loss(u):
+        # restricted columns, one per outcome
+        return const + _ensemble_term(_conditional_blocks(pair, u[:n_A, :].T, n_B))
 
-    out = minimize_vector(objective, _chart_size(n_A, n_A), cfg)
-    basis = ProjectiveBasis(n_A, unitary_from_vector(out.best_params, n_A))
-    return DiscordResult("P", out.best_value, basis, out)
+    if _exact_path(rho, method):
+        z = _koashi_winter_generator(rho)
+        params = np.zeros(n_params)
+        k = n_params - N * (N - 1)  # diagonal angles before the (0, 1) entry
+        params[k : k + 2] = z.real, z.imag
+        u = unitary_from_vector(params, N)
+        value = loss(u)
+        return OptimizationOutcome(value, params, 0, (value,), True), u, "exact"
+    out = minimize_vector(lambda x: loss(unitary_from_vector(x, N)), n_params, cfg)
+    return out, unitary_from_vector(out.best_params, N), "optimizer"
+
+
+def discord_P(
+    rho: BipartiteState, cfg: OptimizerConfig | None = None, method: str = "auto"
+) -> DiscordResult:
+    """Discord over projective measurements on A, searched over bases up to
+    column phases (the projective chart of :func:`unitary_from_vector`),
+    or built in closed form where ``method`` allows (see module docstring)."""
+    cfg = cfg or OptimizerConfig()
+    n_A = rho.n_A
+    out, u, path = _one_sided(rho, n_A, _chart_size(n_A, n_A), cfg, method)
+    return DiscordResult("P", out.best_value, ProjectiveBasis(n_A, u), out, path)
 
 
 def discord_PE(
-    rho: BipartiteState, N: int | None = None, cfg: OptimizerConfig | None = None
+    rho: BipartiteState,
+    N: int | None = None,
+    cfg: OptimizerConfig | None = None,
+    method: str = "auto",
 ) -> DiscordResult:
     """Discord over Neumark-extended projective measurements on A.
 
     Minimizes the ensemble loss over orthonormal bases of an N-dimensional
     extension, acting through their restrictions to H_A.  Nonincreasing in
-    N; ``N=None`` picks :func:`default_extension_dim`.
+    N; ``N=None`` picks :func:`default_extension_dim`.  On the exact path
+    the basis is projective: the closed-form qubit basis padded with N - 2
+    columns outside H_A.
     """
     cfg = cfg or OptimizerConfig()
     if N is None:
         N = default_extension_dim(rho)
     if N < rho.n_A:
         raise ValueError(f"extension dim {N} < n_A {rho.n_A}")
-    n_A, n_B = rho.n_A, rho.n_B
-    const = _entropy_constant(rho)
-    pair = _pair_matrix(rho)
-
-    def objective(x):
-        u = unitary_from_vector(x, N)
-        vecs = u[:n_A, :].T  # restricted columns, one per outcome
-        return const + _ensemble_term(_conditional_blocks(pair, vecs, n_B))
-
-    out = minimize_vector(objective, N * N, cfg)
-    nb = NeumarkBasis(n_A, N, unitary_from_vector(out.best_params, N))
-    return DiscordResult(f"PE({N})", out.best_value, nb, out)
+    out, u, path = _one_sided(rho, N, N * N, cfg, method)
+    return DiscordResult(f"PE({N})", out.best_value, NeumarkBasis(rho.n_A, N, u), out, path)
 
 
 def discord_R(
-    rho: BipartiteState, N: int | None = None, cfg: OptimizerConfig | None = None
+    rho: BipartiteState,
+    N: int | None = None,
+    cfg: OptimizerConfig | None = None,
+    method: str = "auto",
 ) -> DiscordResult:
     """Discord over rank-1 POVMs; identical to the Neumark-extended infimum,
-    so this runs the same search and reports the restricted POVM."""
-    res = discord_PE(rho, N, cfg)
-    return DiscordResult("R", res.value, from_neumark(res.measurement), res.outcome)
+    so this runs the same solve and reports the restricted POVM."""
+    res = discord_PE(rho, N, cfg, method)
+    return DiscordResult(
+        "R", res.value, from_neumark(res.measurement), res.outcome, res.path
+    )
 
 
 def discord_two_sided(

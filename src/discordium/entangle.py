@@ -53,13 +53,16 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     """Wootters concurrence max(0, l1 - l2 - l3 - l4) of a two-qubit state.
 
     The l_i are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).
+    rho (sy x sy) rho* (sy x sy), taken as the singular values of
+    sqrt(rho) (sy x sy) sqrt(rho)*: the square roots of near-zero
+    eigenvalues of the non-Hermitian product would amplify their rounding
+    error to ~1e-8 on rank-deficient states.
     """
     if rho.dim != 4:
         raise ValueError(f"concurrence needs a 4-dimensional state, got dim {rho.dim}")
-    r = rho.matrix @ _SIGMA_YY @ rho.matrix.conj() @ _SIGMA_YY
-    evals = np.linalg.eigvals(r).real
-    lam = np.sqrt(np.sort(np.abs(evals))[::-1])
+    evals, evecs = eigh(rho.matrix)
+    root = (evecs * np.sqrt(np.maximum(evals, 0.0))) @ evecs.conj().T
+    lam = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
     return float(max(0.0, min(1.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
@@ -147,10 +150,11 @@ def koashi_winter_residual(
         + von_neumann(partial_trace(rho, "A"))
         - von_neumann(rho.state)
     )
+    # the residual measures the search, so the exact path is never taken
     if via == "PE":
-        lhs = discord_PE(rho, N, cfg).value
+        lhs = discord_PE(rho, N, cfg, method="optimize").value
     elif via == "P":
-        lhs = discord_P(rho, cfg).value
+        lhs = discord_P(rho, cfg, method="optimize").value
     else:
         raise ValueError(f"via must be 'PE' or 'P', got {via!r}")
     return abs(lhs - rhs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import HERM_TOL, BipartiteState, DensityMatrix, dag, eigh
+from .qmat import HERM_TOL, BipartiteState, DensityMatrix, _require_finite, dag, eigh
 
 # Rank-1 vectors with squared norm at or below this are dropped: restricted
 # Neumark columns supported only on the extension contribute nothing.
@@ -49,6 +49,8 @@ class KrausSet:
         ops = tuple(_as_complex(a) for a in self.operators)
         if not ops:
             raise ValueError("KrausSet needs at least one operator")
+        for a in ops:
+            _require_finite(a, "Kraus operator")
         n_out = ops[0].shape[0]
         for a in ops:
             if a.ndim != 2 or a.shape != (n_out, self.dim):
@@ -80,6 +82,7 @@ class ProjectiveBasis:
 
     def __post_init__(self):
         u = _as_complex(self.basis)
+        _require_finite(u, "basis")
         if u.shape != (self.dim, self.dim):
             raise ValueError(f"basis must be {self.dim}x{self.dim}, got {u.shape}")
         resid = np.abs(dag(u) @ u - np.eye(self.dim)).max()
@@ -104,6 +107,7 @@ class RankOnePOVM:
 
     def __post_init__(self):
         v = np.atleast_2d(_as_complex(self.vectors))
+        _require_finite(v, "POVM vectors")
         if v.shape[1] != self.dim:
             raise ValueError(f"vectors must have length {self.dim}, got {v.shape[1]}")
         w = np.einsum("ga,ga->g", v.conj(), v).real
@@ -140,6 +144,7 @@ class NeumarkBasis:
         if self.N < self.n_A:
             raise ValueError(f"extension dim {self.N} < system dim {self.n_A}")
         u = _as_complex(self.extension_basis)
+        _require_finite(u, "extension basis")
         if u.shape != (self.N, self.N):
             raise ValueError(f"extension basis must be {self.N}x{self.N}, got {u.shape}")
         resid = np.abs(dag(u) @ u - np.eye(self.N)).max()

@@ -28,6 +28,13 @@ def _as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Reject NaN/inf up front, before a residual check turns them into a
+    NaN that names the wrong invariant (or into a numpy warning)."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has non-finite entries")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Return a read-only copy so stored arrays are safe to share."""
     out = np.array(a, dtype=np.complex128, copy=True)
@@ -55,6 +62,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
+        _require_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         herm = np.abs(m - dag(m)).max()
@@ -106,6 +114,7 @@ class PureState:
 
     def __post_init__(self):
         amps = _as_complex(self.amplitudes).ravel()
+        _require_finite(amps, "amplitude vector")
         n_A, n_B = self.dim_pair
         if amps.size != n_A * n_B:
             raise ValueError(f"amplitude length {amps.size} != {n_A}*{n_B}")
@@ -232,6 +241,7 @@ def classical_state(probs, branch_states, basis=None) -> BipartiteState:
     B-side density matrix (array or DensityMatrix) per probability.
     """
     probs = np.asarray(probs, dtype=float)
+    _require_finite(probs, "probability vector")
     if not abs(probs.sum() - 1.0) <= 1e-10:
         raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
     if np.any(probs < 0):

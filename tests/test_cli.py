@@ -180,6 +180,38 @@ class TestDiscordCommand:
         again = evaluate_measurement(rho, measurement)
         assert abs(again - doc["value_bits"]) < 1e-9
 
+    def test_method_and_path(self, capsys):
+        path = str(FIXTURES / "rank2_00.json")
+        code, out, _ = run_cli(capsys, "discord", path, "--variant", "PE", "--N", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["path"] == "exact"
+        assert doc["measurement"]["type"] == "neumark"
+        code, out, _ = run_cli(
+            capsys, "discord", path, "--method", "optimize", "--restarts", "1",
+            "--max-iters", "300",
+        )
+        assert code == 0
+        assert json.loads(out)["path"] == "optimizer"
+        code, out, _ = run_cli(capsys, "discord", path, "--method", "exact", "--table")
+        assert code == 0
+        assert {"path": "exact", "evaluations": "0"}.items() <= dict(
+            line.split() for line in out.splitlines()
+        ).items()
+
+    def test_exact_method_rejected_where_it_does_not_apply(self, capsys):
+        code, _, err = run_cli(
+            capsys, "discord", str(FIXTURES / "product.json"), "--method", "exact"
+        )
+        assert code == 2
+        assert "no exact path" in err
+        code, _, err = run_cli(
+            capsys, "discord", str(FIXTURES / "bell.json"), "--variant", "two-sided",
+            "--method", "exact",
+        )
+        assert code == 2
+        assert "--method exact" in err
+
     def test_two_sided(self, capsys):
         code, out, _ = run_cli(
             capsys,

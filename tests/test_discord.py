@@ -277,7 +277,7 @@ class TestPinnedTrajectories:
     CFG = OptimizerConfig(restarts=2, seed=0)
 
     def test_discord_pe(self):
-        res = discord_PE(load_state(str(RANK2_00))[0], 4, self.CFG)
+        res = discord_PE(load_state(str(RANK2_00))[0], 4, self.CFG, method="optimize")
         assert res.value.hex() == "0x1.445524eb3931dp-2"
         assert res.outcome.evaluations == 6967
 

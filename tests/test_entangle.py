@@ -51,6 +51,18 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence_2q(DensityMatrix(np.eye(2) / 2))
 
+    def test_pure_states(self):
+        # C(psi) = |<psi| sy x sy |psi*>|; the rank-1 input is where the
+        # eigenvalue route lost ~1e-8 to its near-zero eigenvalues
+        rng = np.random.default_rng(11)
+        syy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+        for _ in range(50):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v /= np.linalg.norm(v)
+            expected = abs(v.conj() @ syy @ v.conj())
+            rho = DensityMatrix(np.outer(v, v.conj()))
+            assert abs(concurrence_2q(rho) - expected) < 1e-14
+
 
 class TestEof2q:
     def test_endpoints(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,14 +280,16 @@ class TestValidation:
         eye[0, 0] = bad
         ext = np.eye(3, dtype=complex)
         ext[0, 0] = bad
-        with np.errstate(invalid="ignore"):  # inf * 0 inside the checks
-            with pytest.raises(ValueError, match="complete"):
+        # rejected up front, by name, before any check could warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
                 KrausSet(2, (eye,))
-            with pytest.raises(ValueError, match="unitary"):
+            with pytest.raises(ValueError, match="non-finite"):
                 ProjectiveBasis(2, eye)
-            with pytest.raises(ValueError, match="unitary"):
+            with pytest.raises(ValueError, match="non-finite"):
                 NeumarkBasis(2, 3, ext)
-            with pytest.raises(ValueError, match="complete"):
+            with pytest.raises(ValueError, match="non-finite"):
                 RankOnePOVM(2, eye)
 
     def test_neumark_too_small(self):

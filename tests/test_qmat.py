@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,12 +257,14 @@ class TestInvariantValidation:
     def test_rejects_non_finite(self, bad):
         m = np.eye(4, dtype=complex) / 4
         m[0, 0] = bad
-        with np.errstate(invalid="ignore"):  # inf - inf inside the checks
-            with pytest.raises(ValueError):
+        # rejected up front, by name, before any check could warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
                 DensityMatrix(m)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="non-finite"):
                 PureState((2, 2), np.array([bad, 0.0, 0.0, 0.0]))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="non-finite"):
                 classical_state([bad, 0.5], [np.eye(2) / 2, np.eye(2) / 2])
 
     def test_pure_state_norm(self):
