@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .discord import (
-    METHODS,
     discord_P,
     discord_PE,
     discord_R,
@@ -214,14 +213,12 @@ def cmd_discord(args) -> int:
     if n is not None and n < rho.n_A:
         raise InputError(f"--N {n} is below n_A = {rho.n_A}")
     if args.variant == "P":
-        res = discord_P(rho, cfg, args.method)
+        res = discord_P(rho, cfg)
     elif args.variant == "R":
-        res = discord_R(rho, n, cfg, args.method)
+        res = discord_R(rho, n, cfg)
     elif args.variant == "PE":
-        res = discord_PE(rho, n, cfg, args.method)
+        res = discord_PE(rho, n, cfg)
     else:  # two-sided
-        if args.method == "exact":
-            raise InputError("--method exact applies to --variant P, PE and R")
         n_b = args.N_B
         if n_b is not None and n_b < rho.n_B:
             raise InputError(f"--N-B {n_b} is below n_B = {rho.n_B}")
@@ -391,9 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="extension dimension (PE/R/two-sided)")
     p.add_argument("--N-B", dest="N_B", type=int, default=None,
                    help="B-side extension dimension (two-sided)")
-    p.add_argument("--method", choices=list(METHODS), default="auto",
-                   help="exact: closed-form basis (two-qubit states of rank <= 2); "
-                        "optimize: the multi-restart search; auto: exact where it applies")
     add_optimizer_flags(p)
     p.add_argument("--table", action="store_true")
     p.add_argument("--json", action="store_true", help="JSON output (the default)")

@@ -16,13 +16,14 @@ For a fixed measurement the two evaluation routes are ``loss_functional``
 measurements and the ensemble form never increases under rank-1
 refinement.
 
-``discord_P`` and ``discord_PE`` take ``method="auto" | "exact" |
-"optimize"``.  A two-qubit state of rank <= 2 has an exact path: purified
-with a qubit C, its extended discord is EOF(BC) + S(A) - S(AB) (Koashi and
-Winter, PRA 69, 022309 (2004)), and Wootters' construction of the optimal
-BC decomposition (PRL 80, 2245 (1998)) is induced by a projective A-basis,
-so D_P = D_PE and the basis comes in closed form.  ``auto`` takes it where
-it applies and the multi-restart search everywhere else.
+A two-qubit state of rank <= 2 has an exact path: purified with a qubit
+C, its extended discord is EOF(BC) + S(A) - S(AB) (Koashi and Winter,
+PRA 69, 022309 (2004)), and Wootters' construction of the optimal BC
+decomposition (PRL 80, 2245 (1998)) is induced by a projective A-basis,
+so D_P = D_PE and the basis comes in closed form.  ``discord_P`` and
+``discord_PE`` take it where it applies and the multi-restart search
+everywhere else; ``_discord_P`` and ``_discord_PE`` with ``search=True``
+run the search on every input, for the checks that measure it.
 """
 
 from __future__ import annotations
@@ -59,27 +60,24 @@ Measurement = (
 )
 
 
-METHODS = ("auto", "exact", "optimize")
-
-
 @dataclass(frozen=True)
 class DiscordResult:
-    """A discord value in bits with the optimizing measurement attached.
-
-    ``path`` names how the measurement was found: ``"optimizer"`` (the
-    multi-restart search) or ``"exact"`` (the closed-form basis, with
-    ``outcome.evaluations == 0``).
-    """
+    """A discord value in bits with the optimizing measurement attached."""
 
     variant: str
     value: float
     measurement: object
     outcome: OptimizationOutcome
-    path: str = "optimizer"
 
     def __post_init__(self):
         if not self.value >= -1e-7:
             raise ValueError(f"discord value {self.value} below the -1e-7 floor")
+
+    @property
+    def path(self) -> str:
+        """``"exact"`` for the closed-form basis, ``"optimizer"`` for the
+        search (which always runs at least one evaluation)."""
+        return "exact" if self.outcome.evaluations == 0 else "optimizer"
 
 
 def _entropy_constant(rho: BipartiteState) -> float:
@@ -183,17 +181,9 @@ def _chart_size(N: int, n: int) -> int:
 _SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
 
 
-def _exact_path(rho: BipartiteState, method: str) -> bool:
-    """Whether a solve takes the closed-form basis (see module docstring)."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    eligible = rho.n_A == rho.n_B == 2 and rho.state.rank <= 2
-    if method == "exact" and not eligible:
-        raise ValueError(
-            f"no exact path for a {rho.n_A}x{rho.n_B} state of rank {rho.state.rank}: "
-            "it needs a two-qubit state of rank <= 2"
-        )
-    return eligible and method != "optimize"
+def _has_exact_path(rho: BipartiteState) -> bool:
+    """Whether the closed-form basis applies (see module docstring)."""
+    return rho.n_A == rho.n_B == 2 and rho.state.rank <= 2
 
 
 def _koashi_winter_generator(rho: BipartiteState) -> complex:
@@ -234,10 +224,11 @@ def _koashi_winter_generator(rho: BipartiteState) -> complex:
 
 
 def _one_sided(
-    rho: BipartiteState, N: int, n_params: int, cfg: OptimizerConfig, method: str
-) -> tuple[OptimizationOutcome, np.ndarray, str]:
+    rho: BipartiteState, N: int, n_params: int, cfg: OptimizerConfig, search: bool
+) -> tuple[OptimizationOutcome, np.ndarray]:
     """Best basis of an N >= n_A extension of A, acting through its
-    restriction; returns the outcome, the basis and the path taken.
+    restriction: the closed-form basis where it applies, unless ``search``,
+    and the multi-restart search otherwise.
 
     The exact path writes its basis as chart angles (z in the first
     off-diagonal slot of the generator) and rebuilds it once, as the
@@ -252,35 +243,50 @@ def _one_sided(
         # restricted columns, one per outcome
         return const + _ensemble_term(_conditional_blocks(pair, u[:n_A, :].T, n_B))
 
-    if _exact_path(rho, method):
+    if not search and _has_exact_path(rho):
         z = _koashi_winter_generator(rho)
         params = np.zeros(n_params)
         k = n_params - N * (N - 1)  # diagonal angles before the (0, 1) entry
         params[k : k + 2] = z.real, z.imag
         u = unitary_from_vector(params, N)
         value = loss(u)
-        return OptimizationOutcome(value, params, 0, (value,), True), u, "exact"
+        return OptimizationOutcome(value, params, 0, (value,), True), u
     out = minimize_vector(lambda x: loss(unitary_from_vector(x, N)), n_params, cfg)
-    return out, unitary_from_vector(out.best_params, N), "optimizer"
+    return out, unitary_from_vector(out.best_params, N)
 
 
-def discord_P(
-    rho: BipartiteState, cfg: OptimizerConfig | None = None, method: str = "auto"
+def _discord_P(
+    rho: BipartiteState, cfg: OptimizerConfig | None, search: bool
 ) -> DiscordResult:
-    """Discord over projective measurements on A, searched over bases up to
-    column phases (the projective chart of :func:`unitary_from_vector`),
-    or built in closed form where ``method`` allows (see module docstring)."""
+    """:func:`discord_P`; ``search=True`` skips the closed-form path."""
     cfg = cfg or OptimizerConfig()
     n_A = rho.n_A
-    out, u, path = _one_sided(rho, n_A, _chart_size(n_A, n_A), cfg, method)
-    return DiscordResult("P", out.best_value, ProjectiveBasis(n_A, u), out, path)
+    out, u = _one_sided(rho, n_A, _chart_size(n_A, n_A), cfg, search)
+    return DiscordResult("P", out.best_value, ProjectiveBasis(n_A, u), out)
+
+
+def discord_P(rho: BipartiteState, cfg: OptimizerConfig | None = None) -> DiscordResult:
+    """Discord over projective measurements on A, searched over bases up to
+    column phases (the projective chart of :func:`unitary_from_vector`),
+    or built in closed form where that applies (see module docstring)."""
+    return _discord_P(rho, cfg, search=False)
+
+
+def _discord_PE(
+    rho: BipartiteState, N: int | None, cfg: OptimizerConfig | None, search: bool
+) -> DiscordResult:
+    """:func:`discord_PE`; ``search=True`` skips the closed-form path."""
+    cfg = cfg or OptimizerConfig()
+    if N is None:
+        N = default_extension_dim(rho)
+    if N < rho.n_A:
+        raise ValueError(f"extension dim {N} < n_A {rho.n_A}")
+    out, u = _one_sided(rho, N, N * N, cfg, search)
+    return DiscordResult(f"PE({N})", out.best_value, NeumarkBasis(rho.n_A, N, u), out)
 
 
 def discord_PE(
-    rho: BipartiteState,
-    N: int | None = None,
-    cfg: OptimizerConfig | None = None,
-    method: str = "auto",
+    rho: BipartiteState, N: int | None = None, cfg: OptimizerConfig | None = None
 ) -> DiscordResult:
     """Discord over Neumark-extended projective measurements on A.
 
@@ -290,27 +296,16 @@ def discord_PE(
     the basis is projective: the closed-form qubit basis padded with N - 2
     columns outside H_A.
     """
-    cfg = cfg or OptimizerConfig()
-    if N is None:
-        N = default_extension_dim(rho)
-    if N < rho.n_A:
-        raise ValueError(f"extension dim {N} < n_A {rho.n_A}")
-    out, u, path = _one_sided(rho, N, N * N, cfg, method)
-    return DiscordResult(f"PE({N})", out.best_value, NeumarkBasis(rho.n_A, N, u), out, path)
+    return _discord_PE(rho, N, cfg, search=False)
 
 
 def discord_R(
-    rho: BipartiteState,
-    N: int | None = None,
-    cfg: OptimizerConfig | None = None,
-    method: str = "auto",
+    rho: BipartiteState, N: int | None = None, cfg: OptimizerConfig | None = None
 ) -> DiscordResult:
     """Discord over rank-1 POVMs; identical to the Neumark-extended infimum,
     so this runs the same solve and reports the restricted POVM."""
-    res = discord_PE(rho, N, cfg, method)
-    return DiscordResult(
-        "R", res.value, from_neumark(res.measurement), res.outcome, res.path
-    )
+    res = discord_PE(rho, N, cfg)
+    return DiscordResult("R", res.value, from_neumark(res.measurement), res.outcome)
 
 
 def discord_two_sided(

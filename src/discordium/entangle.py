@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import _ensemble_term, discord_P, discord_PE
+from .discord import _discord_P, _discord_PE, _ensemble_term
 from .entropy import von_neumann
 from .optimize import OptimizationOutcome, OptimizerConfig, minimize_vector, unitary_from_vector
 from .qmat import (
@@ -152,9 +152,9 @@ def koashi_winter_residual(
     )
     # the residual measures the search, so the exact path is never taken
     if via == "PE":
-        lhs = discord_PE(rho, N, cfg, method="optimize").value
+        lhs = _discord_PE(rho, N, cfg, search=True).value
     elif via == "P":
-        lhs = discord_P(rho, cfg, method="optimize").value
+        lhs = _discord_P(rho, cfg, search=True).value
     else:
         raise ValueError(f"via must be 'PE' or 'P', got {via!r}")
     return abs(lhs - rhs)

@@ -17,10 +17,10 @@ from .discord import (
     _branch_entropy_contrib,
     _classical_joint,
     _conditional_blocks,
+    _discord_P,
+    _discord_PE,
     _entropy_constant,
     _pair_matrix,
-    discord_P,
-    discord_PE,
     ensemble_loss,
     loss_functional,
 )
@@ -64,7 +64,7 @@ BATTERY_TOLERANCES = {
 SATURATION_TOL = 1e-9
 
 # The optimizer batteries test the search, so they solve with
-# method="optimize" also where the closed-form path applies.
+# search=True also where the closed-form path applies.
 _P_CFG = OptimizerConfig(restarts=8, max_iters=1000)
 _PE_CFG = OptimizerConfig(restarts=10, max_iters=4000)
 
@@ -184,8 +184,8 @@ def _trial_inequality_chain(rng: np.random.Generator) -> float:
     n_b = 2 if rng.integers(2) else 3
     rho = ginibre_state(2, n_b, int(rng.integers(1, 2 * n_b + 1)), int(rng.integers(2**63 - 1)))
     seed = int(rng.integers(2**31))
-    d_p = discord_P(rho, replace(_P_CFG, seed=seed), method="optimize")
-    d_pe = discord_PE(rho, rho.n_A + 2, replace(_PE_CFG, seed=seed), method="optimize")
+    d_p = _discord_P(rho, replace(_P_CFG, seed=seed), search=True)
+    d_pe = _discord_PE(rho, rho.n_A + 2, replace(_PE_CFG, seed=seed), search=True)
     return max(0.0, d_pe.value - d_p.value)
 
 
@@ -193,8 +193,8 @@ def _trial_mutual_info_bound(rng: np.random.Generator) -> float:
     rho = _random_state(rng, dims=((2, 2), (2, 3)))
     info = mutual_information(rho)
     seed = int(rng.integers(2**31))
-    d_p = discord_P(rho, replace(_P_CFG, seed=seed), method="optimize")
-    d_pe = discord_PE(rho, rho.n_A + 2, replace(_PE_CFG, seed=seed), method="optimize")
+    d_p = _discord_P(rho, replace(_P_CFG, seed=seed), search=True)
+    d_pe = _discord_PE(rho, rho.n_A + 2, replace(_PE_CFG, seed=seed), search=True)
     bound_violation = max(0.0, d_p.value - info, d_pe.value - info)
     saturation = abs(loss_functional(rho, randomizing_measurement(rho.n_A)) - info)
     # the saturation identity has its own, tighter tolerance

@@ -3,8 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  Every tolerance is fixed
 here, never loosened at runtime; the seeds make each criterion a frozen,
 reproducible experiment.  The criteria test the search, so their solves
-pass ``method="optimize"`` also where the closed-form path applies.  Heavy per-state sweeps fan out across processes
-(capped by DISCORDIUM_THREADS).
+go through ``_discord_P``/``_discord_PE`` with ``search=True`` also where
+the closed-form path applies.  Heavy per-state sweeps fan out across
+processes (capped by DISCORDIUM_THREADS).
 """
 
 import pathlib
@@ -16,8 +17,8 @@ import pytest
 from discordium._parallel import process_map
 from discordium.cli import load_state
 from discordium.discord import (
-    discord_P,
-    discord_PE,
+    _discord_P,
+    _discord_PE,
     discord_two_sided,
     ensemble_loss,
     loss_functional,
@@ -74,8 +75,8 @@ def _kw_residual(seed: int) -> float:
 
 def _chain_values(seed: int, n_b: int, rank: int):
     rho = ginibre_state(2, n_b, rank, seed=seed)
-    d_p = discord_P(rho, P_CFG, method="optimize").value
-    d_pe = discord_PE(rho, rho.n_A + 2, PE_CFG, method="optimize").value
+    d_p = _discord_P(rho, P_CFG, search=True).value
+    d_pe = _discord_PE(rho, rho.n_A + 2, PE_CFG, search=True).value
     info = mutual_information(rho)
     saturation = abs(loss_functional(rho, randomizing_measurement(2)) - info)
     return d_p, d_pe, info, saturation
@@ -84,14 +85,14 @@ def _chain_values(seed: int, n_b: int, rank: int):
 def _classical_values(seed: int):
     rho = random_classical(2, 2, np.random.default_rng(seed))
     return (
-        discord_P(rho, P_CFG, method="optimize").value,
-        discord_PE(rho, None, PE_CFG, method="optimize").value,
+        _discord_P(rho, P_CFG, search=True).value,
+        _discord_PE(rho, None, PE_CFG, search=True).value,
     )
 
 
 def _grid_vs_optimizer(seed: int) -> float:
     rho = ginibre_state(2, 2, (seed % 4) + 1, seed=seed)
-    return abs(grid_discord_qubit(rho, 400) - discord_P(rho, P_CFG, method="optimize").value)
+    return abs(grid_discord_qubit(rho, 400) - _discord_P(rho, P_CFG, search=True).value)
 
 
 def _eof_gap(seed: int) -> float:
@@ -165,8 +166,8 @@ def test_criterion_05_zero_discord_characterization():
     worst = max(max(p, pe) for p, pe in results)
     bell = bell_state()
     variants = [
-        discord_P(bell, P_CFG, method="optimize").value,
-        discord_PE(bell, 4, PE_CFG, method="optimize").value,
+        _discord_P(bell, P_CFG, search=True).value,
+        _discord_PE(bell, 4, PE_CFG, search=True).value,
         discord_two_sided(bell, cfg=TS_CFG).value,
     ]
     bell_ok = all(0.99 <= v <= 1.000001 for v in variants)
@@ -209,7 +210,7 @@ def test_criterion_08_oracle_equivalence():
         rho, _ = load_state(str(path))
         worst_grid = max(
             worst_grid,
-            abs(grid_discord_qubit(rho, 400) - discord_P(rho, P_CFG, method="optimize").value),
+            abs(grid_discord_qubit(rho, 400) - _discord_P(rho, P_CFG, search=True).value),
         )
     grid_gaps = process_map(_grid_vs_optimizer, [(700 + k,) for k in range(20)])
     worst_grid = max(worst_grid, max(grid_gaps))

@@ -22,6 +22,7 @@ from discordium.measure import (
     random_projective,
 )
 from discordium.qmat import bell_state, ginibre_state
+from discordium.verify import random_classical
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -138,10 +139,13 @@ class TestDiscordCommand:
         assert abs(doc["value_bits"] - 1.0) < 1e-6
         assert doc["measurement"]["type"] == "projective"
 
-    def test_classical_pe(self, capsys):
+    def test_classical_pe(self, tmp_path, capsys):
+        # rank 4, so the search runs (the rank-2 fixture takes the exact path)
+        path = tmp_path / "classical4.json"
+        save_state(random_classical(2, 2, np.random.default_rng(0)), path)
         code, out, _ = run_cli(
             capsys,
-            "discord", str(FIXTURES / "classical.json"),
+            "discord", str(path),
             "--variant", "PE", "--N", "4", "--restarts", "4",
         )
         assert code == 0
@@ -165,52 +169,43 @@ class TestDiscordCommand:
         assert code == 2
         assert "below n_A" in err
 
-    def test_report_reevaluates(self, capsys):
+    def test_report_reevaluates(self, tmp_path, capsys):
         from discordium.discord import evaluate_measurement
 
+        # rank 3, so the basis comes from the search
+        path = tmp_path / "rank3.json"
+        save_state(ginibre_state(2, 2, 3, seed=0), path)
         code, out, _ = run_cli(
             capsys,
-            "discord", str(FIXTURES / "rank2_00.json"),
+            "discord", str(path),
             "--variant", "PE", "--N", "4", "--restarts", "4", "--seed", "3",
         )
         assert code == 0
         doc = json.loads(out)
-        rho, _ = load_state(str(FIXTURES / "rank2_00.json"))
+        assert doc["path"] == "optimizer"
+        rho, _ = load_state(str(path))
         measurement = deserialize_measurement(doc["measurement"])
         again = evaluate_measurement(rho, measurement)
         assert abs(again - doc["value_bits"]) < 1e-9
 
-    def test_method_and_path(self, capsys):
+    def test_path(self, capsys):
         path = str(FIXTURES / "rank2_00.json")
         code, out, _ = run_cli(capsys, "discord", path, "--variant", "PE", "--N", "4")
         assert code == 0
         doc = json.loads(out)
         assert doc["path"] == "exact"
         assert doc["measurement"]["type"] == "neumark"
-        code, out, _ = run_cli(
-            capsys, "discord", path, "--method", "optimize", "--restarts", "1",
-            "--max-iters", "300",
-        )
-        assert code == 0
-        assert json.loads(out)["path"] == "optimizer"
-        code, out, _ = run_cli(capsys, "discord", path, "--method", "exact", "--table")
+        code, out, _ = run_cli(capsys, "discord", path, "--table")
         assert code == 0
         assert {"path": "exact", "evaluations": "0"}.items() <= dict(
             line.split() for line in out.splitlines()
         ).items()
-
-    def test_exact_method_rejected_where_it_does_not_apply(self, capsys):
-        code, _, err = run_cli(
-            capsys, "discord", str(FIXTURES / "product.json"), "--method", "exact"
+        code, out, _ = run_cli(
+            capsys, "discord", str(FIXTURES / "product.json"), "--restarts", "1",
+            "--max-iters", "300",
         )
-        assert code == 2
-        assert "no exact path" in err
-        code, _, err = run_cli(
-            capsys, "discord", str(FIXTURES / "bell.json"), "--variant", "two-sided",
-            "--method", "exact",
-        )
-        assert code == 2
-        assert "--method exact" in err
+        assert code == 0
+        assert json.loads(out)["path"] == "optimizer"
 
     def test_two_sided(self, capsys):
         code, out, _ = run_cli(

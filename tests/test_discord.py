@@ -6,6 +6,8 @@ import pytest
 from discordium.cli import load_state
 from discordium.discord import (
     DiscordResult,
+    _discord_P,
+    _discord_PE,
     default_extension_dim,
     discord_P,
     discord_PE,
@@ -103,7 +105,7 @@ class TestDiscordP:
         assert discord_P(rho, FAST).value < 1e-6
 
     def test_bell_is_one(self):
-        res = discord_P(bell_state(), FAST)
+        res = _discord_P(bell_state(), FAST, search=True)
         assert abs(res.value - 1.0) < 1e-6
 
     def test_werner_matches_grid_oracle(self):
@@ -141,7 +143,7 @@ class TestDiscordPE:
 
     def test_nonincreasing_in_N(self):
         rho = ginibre_state(2, 2, 2, seed=8)
-        values = [discord_PE(rho, n, FAST_PE).value for n in (2, 3, 4)]
+        values = [_discord_PE(rho, n, FAST_PE, search=True).value for n in (2, 3, 4)]
         assert values[1] <= values[0] + 1e-5
         assert values[2] <= values[1] + 1e-5
 
@@ -163,7 +165,7 @@ class TestDiscordPE:
 
     def test_reevaluation_matches(self):
         rho = ginibre_state(2, 2, 2, seed=11)
-        res = discord_PE(rho, 4, FAST_PE)
+        res = _discord_PE(rho, 4, FAST_PE, search=True)
         assert isinstance(res.measurement, NeumarkBasis)
         assert abs(evaluate_measurement(rho, res.measurement) - res.value) < 1e-9
 
@@ -177,7 +179,8 @@ class TestDiscordPE:
 
 class TestDiscordR:
     def test_alias_of_pe(self):
-        rho = ginibre_state(2, 2, 2, seed=14)
+        # rank 3, so both solves run the search
+        rho = ginibre_state(2, 2, 3, seed=14)
         res = discord_R(rho, 4, FAST_PE)
         assert res.variant == "R"
         assert isinstance(res.measurement, RankOnePOVM)
@@ -277,7 +280,7 @@ class TestPinnedTrajectories:
     CFG = OptimizerConfig(restarts=2, seed=0)
 
     def test_discord_pe(self):
-        res = discord_PE(load_state(str(RANK2_00))[0], 4, self.CFG, method="optimize")
+        res = _discord_PE(load_state(str(RANK2_00))[0], 4, self.CFG, search=True)
         assert res.value.hex() == "0x1.445524eb3931dp-2"
         assert res.outcome.evaluations == 6967
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from discordium.discord import discord_PE
+from discordium.discord import _discord_PE
 from discordium.entangle import (
     binary_entropy,
     concurrence_2q,
@@ -172,7 +172,7 @@ class TestKoashiWinter:
         # the decomposition induced by the optimal extension basis evaluates
         # the EOF cost of rho_BC
         rho = ginibre_state(2, 2, 2, seed=8)
-        res = discord_PE(rho, 4, CFG)
+        res = _discord_PE(rho, 4, CFG, search=True)
         vecs = from_neumark(res.measurement).vectors
         psi = purify_with_qubit_ancilla(rho.state)
         amp = psi.amplitudes.reshape(2, 4)  # (A index, BC index)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import discordium.discord as discord_mod
 from discordium.cli import load_state
-from discordium.discord import discord_P, discord_PE, discord_R, evaluate_measurement
+from discordium.discord import (
+    _discord_P,
+    _discord_PE,
+    discord_P,
+    discord_PE,
+    discord_R,
+    evaluate_measurement,
+)
 from discordium.entangle import eof_2q, purify_with_qubit_ancilla
 from discordium.entropy import von_neumann
 from discordium.measure import random_unitary
@@ -76,28 +83,13 @@ class TestEligibility:
             assert res.outcome.restart_values == (res.value,)
             assert res.outcome.converged
 
-    def test_optimize_keeps_the_search(self):
-        rho = ginibre_state(2, 2, 2, seed=1)
-        res = discord_P(rho, OptimizerConfig(restarts=1, seed=0), method="optimize")
-        assert res.path == "optimizer"
-        assert res.outcome.evaluations > 0
-
-    def test_auto_searches_ineligible_input(self):
-        cfg = OptimizerConfig(restarts=1, seed=0, max_iters=200)
-        for rho in (ginibre_state(2, 2, 3, seed=2), ginibre_state(2, 3, 2, seed=2)):
-            assert discord_P(rho, cfg).path == "optimizer"
-
-    @pytest.mark.parametrize("rho", [ginibre_state(2, 2, 3, seed=3), ginibre_state(2, 3, 2, seed=3)],
+    @pytest.mark.parametrize("rho", [ginibre_state(2, 2, 3, seed=2), ginibre_state(2, 3, 2, seed=2)],
                              ids=["rank3", "2x3"])
-    def test_exact_rejects_ineligible(self, rho):
-        with pytest.raises(ValueError, match="no exact path"):
-            discord_P(rho, method="exact")
-        with pytest.raises(ValueError, match="no exact path"):
-            discord_PE(rho, 4, method="exact")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            discord_P(bell_state(), method="closed")
+    def test_ineligible_input_searches(self, rho):
+        cfg = OptimizerConfig(restarts=1, seed=0, max_iters=200)
+        for res in (discord_P(rho, cfg), discord_PE(rho, 4, cfg)):
+            assert res.path == "optimizer"
+            assert res.outcome.evaluations > 0
 
     def test_one_basis_build(self, monkeypatch):
         # the exact path builds its basis with one unitary_from_vector call
@@ -119,14 +111,14 @@ class TestAgainstIndependentRoutes:
     def test_matches_search(self, name):
         rho = load_state(str(FIXTURES / f"{name}.json"))[0]
         exact = discord_P(rho).value
-        searched = discord_P(rho, OPT, method="optimize").value
+        searched = _discord_P(rho, OPT, search=True).value
         assert abs(exact - searched) <= 1e-7
         assert exact <= searched + 1e-12
 
     def test_pe_matches_search(self):
         rho = load_state(str(FIXTURES / "rank2_00.json"))[0]
         exact = discord_PE(rho, 4).value
-        searched = discord_PE(rho, 4, OPT, method="optimize").value
+        searched = _discord_PE(rho, 4, OPT, search=True).value
         assert abs(exact - searched) <= 1e-7
         assert exact <= searched + 1e-12
 
@@ -148,7 +140,7 @@ class TestAgainstIndependentRoutes:
         assert res.path == "exact"
         assert abs(res.value - kw_rhs(rho)) <= 1e-10
         assert abs(res.value - grid_discord_qubit(rho, 400)) <= 1e-4
-        searched = discord_P(rho, OPT, method="optimize").value
+        searched = _discord_P(rho, OPT, search=True).value
         assert res.value <= searched + 1e-12
         assert abs(evaluate_measurement(rho, res.measurement) - res.value) <= 1e-12
 
