@@ -1,12 +1,12 @@
-"""Internal helpers for bounded, deterministic task fan-out.
+"""Bounded, deterministic process fan-out for the verification batteries.
 
 The DISCORDIUM_THREADS environment variable caps how many workers the
-verification batteries may use (default and upper limit: hardware
-concurrency).
+batteries may use (default and upper limit: hardware concurrency).
 Battery trials are seconds-long and independent, so they fan out across
 processes; optimizer restarts are dominated by small-matrix numpy calls
-that CPython threads only slow down, so they stay serial.  Results are
-always merged by task index, making the outcome schedule-independent.
+that CPython threads only slow down, so ``optimize`` runs them serially
+and does not come here.  Results are always merged by task index, making
+the outcome schedule-independent.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def worker_cap() -> int:
     except ValueError:
         raise ValueError(f"DISCORDIUM_THREADS must be an integer, got {raw!r}")
     return min(max(1, n), cpus)
-
-
-def run_indexed(fn: Callable[[int], T], n: int) -> list[T]:
-    """Evaluate fn(0..n-1) serially, returning results in order."""
-    return [fn(i) for i in range(n)]
 
 
 def process_map(fn: Callable[..., T], argument_tuples: Sequence[tuple]) -> list[T]:

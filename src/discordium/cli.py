@@ -33,7 +33,10 @@ from .entangle import eof_2q, eof_via_decomposition, koashi_winter_residual
 from .entropy import conditional_entropy, mutual_information, von_neumann
 from .measure import KrausSet, NeumarkBasis, ProjectiveBasis, RankOnePOVM
 from .optimize import OptimizerConfig
-from .qmat import BipartiteState, DensityMatrix, bell_state, classical_state, ginibre_state, werner
+from .qmat import (
+    BipartiteState, DensityMatrix, bell_state, classical_state, ginibre_density,
+    ginibre_state, partial_trace, product_state, werner,
+)
 from .verify import BATTERY_NAMES, BATTERY_TOLERANCES, run_battery
 
 
@@ -144,7 +147,6 @@ def _config_to_json(cfg: OptimizerConfig) -> dict:
         "restarts": cfg.restarts,
         "max_iters": cfg.max_iters,
         "f_tol": cfg.f_tol,
-        "x_tol": cfg.x_tol,
         "seed": cfg.seed,
     }
 
@@ -180,8 +182,6 @@ def _emit_table(rows: list[tuple[str, object]]) -> None:
 
 def cmd_entropy(args) -> int:
     rho, label = load_state(args.state)
-    from .qmat import partial_trace
-
     values = {
         "S_AB": von_neumann(rho.state),
         "S_A": von_neumann(partial_trace(rho, "A")),
@@ -353,8 +353,6 @@ def cmd_make(args) -> int:
             raise InputError("--kind product needs --dims N_A N_B")
         n_a, n_b = args.dims
         rng = np.random.default_rng(args.seed)
-        from .qmat import ginibre_density, product_state
-
         rho = product_state(ginibre_density(n_a, n_a, rng), ginibre_density(n_b, n_b, rng))
     else:
         raise InputError(f"unknown kind {kind!r}")
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="B-side extension dimension (two-sided)")
     add_optimizer_flags(p)
     p.add_argument("--table", action="store_true")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_discord)
 

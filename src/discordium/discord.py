@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import mutual_information, von_neumann
+from .entropy import _xlog2x, mutual_information, von_neumann
 from .measure import (
     KrausSet,
     NeumarkBasis,
@@ -54,10 +54,6 @@ from .optimize import (
     unitary_from_vector,
 )
 from .qmat import BipartiteState, partial_trace
-
-Measurement = (
-    "ProjectiveBasis | RankOnePOVM | NeumarkBasis | tuple[NeumarkBasis, NeumarkBasis]"
-)
 
 
 @dataclass(frozen=True)
@@ -122,11 +118,6 @@ def _conditional_blocks(pair: np.ndarray, vecs: np.ndarray, n_B: int) -> np.ndar
     return (w @ pair).reshape(k, n_B, n_B)
 
 
-def _xlog2x_fast(lam: np.ndarray) -> np.ndarray:
-    """lam * log2(lam) without masking; exact to ~1e-14 for lam >= -1e-15."""
-    return lam * np.log2(np.maximum(lam, 1e-300))
-
-
 def _branch_entropy_contrib(conds: np.ndarray) -> np.ndarray:
     """Per-matrix p * S(cond / p) for a stack of unnormalized conditionals.
 
@@ -137,11 +128,9 @@ def _branch_entropy_contrib(conds: np.ndarray) -> np.ndarray:
         t = (conds[:, 0, 0] + conds[:, 1, 1]).real
         det = (conds[:, 0, 0] * conds[:, 1, 1] - conds[:, 0, 1] * conds[:, 1, 0]).real
         disc = np.sqrt(np.maximum(t * t - 4 * det, 0))
-        return _xlog2x_fast(t) - (
-            _xlog2x_fast((t - disc) / 2) + _xlog2x_fast((t + disc) / 2)
-        )
+        return _xlog2x(t) - (_xlog2x((t - disc) / 2) + _xlog2x((t + disc) / 2))
     lam = np.linalg.eigvalsh(conds)
-    return _xlog2x_fast(lam.sum(axis=1)) - _xlog2x_fast(lam).sum(axis=1)
+    return _xlog2x(lam.sum(axis=1)) - _xlog2x(lam).sum(axis=1)
 
 
 def _ensemble_term(conds: np.ndarray) -> float:
@@ -339,9 +328,9 @@ def discord_two_sided(
         # post-measurement state is diagonal in the product extension basis,
         # so the bracket reduces to classical entropies of the outcome table
         return const + float(
-            _xlog2x_fast(q.sum(axis=1)).sum()
-            + _xlog2x_fast(q.sum(axis=0)).sum()
-            - _xlog2x_fast(q.ravel()).sum()
+            _xlog2x(q.sum(axis=1)).sum()
+            + _xlog2x(q.sum(axis=0)).sum()
+            - _xlog2x(q.ravel()).sum()
         )
 
     out = minimize_vector(objective, k_a + _chart_size(N_B, n_B), cfg)

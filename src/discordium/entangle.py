@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discord import _discord_P, _discord_PE, _ensemble_term
-from .entropy import von_neumann
+from .entropy import _xlog2x, von_neumann
 from .optimize import OptimizationOutcome, OptimizerConfig, minimize_vector, unitary_from_vector
 from .qmat import (
     RANK_TOL,
@@ -25,6 +25,7 @@ from .qmat import (
     PureState,
     eigh,
     partial_trace,
+    purify,
 )
 
 _SIGMA_YY = np.kron(
@@ -36,7 +37,7 @@ def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with endpoints mapped to 0."""
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
+    return -float(_xlog2x(np.array([x, 1 - x])).sum())
 
 
 @dataclass(frozen=True)
@@ -116,13 +117,10 @@ def purify_with_qubit_ancilla(rho: DensityMatrix) -> PureState:
     """Purification whose ancilla is a qubit (rank must be at most 2)."""
     if rho.rank > 2:
         raise ValueError(f"state rank {rho.rank} > 2; ancilla would exceed a qubit")
-    evals, evecs = eigh(rho.matrix)
-    keep = np.where(evals > RANK_TOL)[0][::-1]
-    amps = np.zeros((rho.dim, 2), dtype=np.complex128)
-    for anc, idx in enumerate(keep):
-        amps[:, anc] = np.sqrt(evals[idx]) * evecs[:, idx]
-    flat = amps.ravel()
-    return PureState(dim_pair=(rho.dim, 2), amplitudes=flat / np.linalg.norm(flat))
+    psi = purify(rho)
+    amps = np.zeros((rho.dim, 2), dtype=np.complex128)  # rank 1 leaves column 1 at zero
+    amps[:, : psi.dim_pair[1]] = psi.amplitudes.reshape(rho.dim, -1)
+    return PureState(dim_pair=(rho.dim, 2), amplitudes=amps.ravel())
 
 
 def koashi_winter_residual(

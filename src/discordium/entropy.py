@@ -2,8 +2,8 @@
 
 ``Bits`` is a plain float.  Relative entropy returns ``math.inf`` when the
 first argument's support leaks outside the second's; everything else is
-finite.  The eigenvalue floor below which a population contributes nothing
-to a logarithm is 1e-15, well under any test tolerance.
+finite.  Every entropy here goes through the one ``x log x`` kernel,
+``_xlog2x``, which treats an eigenvalue that rounds below zero as zero.
 """
 
 from __future__ import annotations
@@ -16,15 +16,21 @@ from .qmat import RANK_TOL, BipartiteState, DensityMatrix, dag, eigh, partial_tr
 
 Bits = float
 
-_LOG_FLOOR = 1e-15
-
 
 def _xlog2x(lam: np.ndarray) -> np.ndarray:
-    """Elementwise lambda * log2(lambda) with the 0 log 0 = 0 convention."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.zeros_like(lam)
-    big = lam > _LOG_FLOOR
-    out[big] = lam[big] * np.log2(lam[big])
+    """Elementwise lambda * log2(lambda) with the 0 log 0 = 0 convention,
+    for an array of at least one dimension.
+
+    A negative lambda (rounding below a zero eigenvalue) counts as 0, so a
+    minimizer cannot gain from it; the 1e-300 floor keeps log2 finite at 0
+    without masking, which keeps the kernel cheap in the optimizer loops.
+    The log and product run in place because the grid oracles pass 1e5-1e7
+    entries, where each temporary array costs about as much as a pass.
+    """
+    lam = np.maximum(lam, 0.0)
+    out = np.maximum(lam, 1e-300)
+    np.log2(out, out=out)
+    out *= lam
     return out
 
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmat import HERM_TOL, BipartiteState, DensityMatrix, _require_finite, dag, eigh
+from .qmat import (
+    HERM_TOL, BipartiteState, DensityMatrix, _as_complex, _frozen, _require_finite, dag, eigh,
+)
 
 # Rank-1 vectors with squared norm at or below this are dropped: restricted
 # Neumark columns supported only on the extension contribute nothing.
@@ -30,8 +32,16 @@ ZERO_OUTCOME_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _as_complex(m) -> np.ndarray:
-    return np.asarray(m, dtype=np.complex128)
+def _unitary(u, n: int, what: str) -> np.ndarray:
+    """Validate an n x n unitary and return a read-only copy of it."""
+    u = _as_complex(u)
+    _require_finite(u, what)
+    if u.shape != (n, n):
+        raise ValueError(f"{what} must be {n}x{n}, got {u.shape}")
+    resid = np.abs(dag(u) @ u - np.eye(n)).max()
+    if not resid <= UNITARY_TOL:
+        raise ValueError(f"not unitary: max |U^dag U - I| = {resid:.3e} > {UNITARY_TOL}")
+    return _frozen(u)
 
 
 @dataclass(frozen=True)
@@ -61,12 +71,7 @@ class KrausSet:
         resid = np.abs(total - np.eye(self.dim)).max()
         if not resid <= HERM_TOL:
             raise ValueError(f"not complete: max |sum A^dag A - I| = {resid:.3e} > {HERM_TOL}")
-        frozen = []
-        for a in ops:
-            a = a.copy()
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "operators", tuple(frozen))
+        object.__setattr__(self, "operators", tuple(_frozen(a) for a in ops))
 
     @property
     def out_dim(self) -> int:
@@ -81,16 +86,7 @@ class ProjectiveBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        u = _as_complex(self.basis)
-        _require_finite(u, "basis")
-        if u.shape != (self.dim, self.dim):
-            raise ValueError(f"basis must be {self.dim}x{self.dim}, got {u.shape}")
-        resid = np.abs(dag(u) @ u - np.eye(self.dim)).max()
-        if not resid <= UNITARY_TOL:
-            raise ValueError(f"not unitary: max |U^dag U - I| = {resid:.3e} > {UNITARY_TOL}")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "basis", u)
+        object.__setattr__(self, "basis", _unitary(self.basis, self.dim, "basis"))
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,8 @@ class RankOnePOVM:
         resid = np.abs(total - np.eye(self.dim)).max()
         if not resid <= HERM_TOL:
             raise ValueError(f"not complete: max |sum |g><g| - I| = {resid:.3e} > {HERM_TOL}")
-        v = v.copy()
-        v.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "vectors", _frozen(v))
         object.__setattr__(self, "weights", w)
 
     @property
@@ -143,15 +137,7 @@ class NeumarkBasis:
     def __post_init__(self):
         if self.N < self.n_A:
             raise ValueError(f"extension dim {self.N} < system dim {self.n_A}")
-        u = _as_complex(self.extension_basis)
-        _require_finite(u, "extension basis")
-        if u.shape != (self.N, self.N):
-            raise ValueError(f"extension basis must be {self.N}x{self.N}, got {u.shape}")
-        resid = np.abs(dag(u) @ u - np.eye(self.N)).max()
-        if not resid <= UNITARY_TOL:
-            raise ValueError(f"not unitary: max |U^dag U - I| = {resid:.3e} > {UNITARY_TOL}")
-        u = u.copy()
-        u.setflags(write=False)
+        u = _unitary(self.extension_basis, self.N, "extension basis")
         object.__setattr__(self, "extension_basis", u)
 
 

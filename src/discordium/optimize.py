@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from ._parallel import run_indexed
+# Nelder-Mead's simplex-size tolerance (scipy's xatol); a run stops once
+# both it and f_tol are met.
+X_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,14 +34,13 @@ class OptimizerConfig:
     restarts: int = 20
     max_iters: int = 2000
     f_tol: float = 1e-9
-    x_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.f_tol <= 0 or self.x_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.f_tol <= 0:
+            raise ValueError(f"f_tol must be positive, got {self.f_tol}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _local_search(objective, x0: np.ndarray, cfg: OptimizerConfig):
             options={
                 "maxiter": min(iters_left, chain_cap),
                 "fatol": cfg.f_tol,
-                "xatol": cfg.x_tol,
+                "xatol": X_TOL,
                 "adaptive": True,
             },
         )
@@ -150,10 +151,10 @@ def minimize_vector(objective, n_params: int, cfg: OptimizerConfig) -> Optimizat
     Restart k's start point depends only on (cfg.seed, k), so adding
     restarts can only improve the result; ties go to the lowest index.
     """
-    def one(k: int):
-        return _local_search(objective, _start_point(cfg.seed, k, n_params), cfg)
-
-    results = run_indexed(one, cfg.restarts)
+    results = [
+        _local_search(objective, _start_point(cfg.seed, k, n_params), cfg)
+        for k in range(cfg.restarts)
+    ]
     values = tuple(r[0] for r in results)
     best = int(np.argmin(values))
     return OptimizationOutcome(

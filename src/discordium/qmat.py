@@ -288,24 +288,3 @@ def ginibre_density(dim: int, rank: int, rng: np.random.Generator) -> DensityMat
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ dag(g)
     return DensityMatrix(m / np.trace(m).real)
-
-
-def make_state(kind: str, seed: int = 0, **params) -> BipartiteState:
-    """Dispatch to the named generator; used by the CLI.
-
-    Kinds: ``bell``, ``werner(p)``, ``classical(probs, branch_states,
-    basis)``, ``product(rho, sigma)``, ``ginibre(n_A, n_B, rank)``.
-    """
-    if kind == "bell":
-        return bell_state()
-    if kind == "werner":
-        return werner(params["p"])
-    if kind == "classical":
-        return classical_state(
-            params["probs"], params["branch_states"], params.get("basis")
-        )
-    if kind == "product":
-        return product_state(params["rho"], params["sigma"])
-    if kind == "ginibre":
-        return ginibre_state(params["n_A"], params["n_B"], params["rank"], seed)
-    raise ValueError(f"unknown state kind {kind!r}")

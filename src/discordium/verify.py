@@ -24,6 +24,7 @@ from .discord import (
     ensemble_loss,
     loss_functional,
 )
+from .entangle import koashi_winter_residual
 from .entropy import _xlog2x, mutual_information, relative_entropy, von_neumann
 from .measure import (
     apply_one_sided,
@@ -213,8 +214,6 @@ def _trial_relative_entropy_monotonicity(rng: np.random.Generator) -> float:
 
 
 def _trial_koashi_winter(rng: np.random.Generator) -> float:
-    from .entangle import koashi_winter_residual
-
     rho = ginibre_state(2, 2, 2, int(rng.integers(2**63 - 1)))
     seed = int(rng.integers(2**31))
     return koashi_winter_residual(rho, 4, replace(_PE_CFG, seed=seed))

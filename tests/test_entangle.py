@@ -22,6 +22,7 @@ from discordium.qmat import (
     ginibre_state,
     partial_trace,
     product_state,
+    purify,
     tensor_product,
 )
 
@@ -126,6 +127,15 @@ class TestPurifyWithQubitAncilla:
     def test_rank_three_rejected(self):
         with pytest.raises(ValueError):
             purify_with_qubit_ancilla(ginibre_state(2, 2, 3, seed=4).state)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_is_purify_padded_to_a_qubit(self, rank):
+        rho = ginibre_state(2, 2, rank, seed=6).state
+        amps = np.zeros((4, 2), dtype=complex)
+        amps[:, :rank] = purify(rho).amplitudes.reshape(4, rank)
+        out = purify_with_qubit_ancilla(rho)
+        assert out.dim_pair == (4, 2)
+        assert np.array_equal(out.amplitudes, amps.ravel())
 
 
 class TestKoashiWinter:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from discordium.entropy import (
+    _xlog2x,
     conditional_entropy,
     entropy_of_spectrum,
     mutual_information,
@@ -29,6 +30,19 @@ REL_ENT_HALF_VS_3414 = 0.20751874963942196
 
 def rand_density(dim, rng, rank=None):
     return ginibre_density(dim, rank or dim, rng)
+
+
+class TestXlog2x:
+    def test_zero_and_negative_rounding(self):
+        out = _xlog2x(np.array([-1e-17, 0.0, 0.5, 1.0]))
+        assert out.tolist() == [0.0, 0.0, -0.5, 0.0]
+
+    def test_unmasked_on_nonnegative_input(self):
+        # the form the optimizer loops were tuned on, down to eigenvalues
+        # far below any tolerance
+        rng = np.random.default_rng(0)
+        lam = np.concatenate([rng.random(500), 1e-15 * rng.random(500), [0.0]])
+        assert np.array_equal(_xlog2x(lam), lam * np.log2(np.maximum(lam, 1e-300)))
 
 
 class TestVonNeumann:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discordium.discord import ensemble_loss
 from discordium.measure import (
@@ -25,6 +27,7 @@ from discordium.measure import (
     two_sided_apply,
 )
 from discordium.qmat import (
+    DensityMatrix,
     bell_state,
     classical_state,
     ginibre_density,
@@ -34,6 +37,21 @@ from discordium.qmat import (
     tensor_product,
     werner,
 )
+
+# derandomized and without an example database, so every run checks the
+# same cases
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**32 - 1)
+
+# one valid input per validated type, built from a complex array in which
+# one entry is replaced
+_VALID = {
+    "DensityMatrix": (np.eye(4) / 4, DensityMatrix),
+    "KrausSet": (np.eye(2) / np.sqrt(2), lambda a: KrausSet(2, (a, np.eye(2) / np.sqrt(2)))),
+    "ProjectiveBasis": (np.eye(3), lambda a: ProjectiveBasis(3, a)),
+    "NeumarkBasis": (np.eye(3), lambda a: NeumarkBasis(2, 3, a)),
+    "RankOnePOVM": (np.eye(2), lambda a: RankOnePOVM(2, a)),
+}
 
 PAULIS = [
     np.eye(2),
@@ -233,6 +251,22 @@ class TestMeasurementIdentities:
             after = partial_trace(apply_one_sided(rho, m), "B").matrix
             assert np.abs(after - before).max() <= 1e-10
 
+    @PROPERTY
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+        rank=st.integers(1, 6),  # capped at the dimension below
+        outcomes=st.integers(2, 4),
+        seed=seeds,
+        m_seed=seeds,
+    )
+    def test_b_marginal_invariance_under_random_kraus(self, dims, rank, outcomes, seed, m_seed):
+        n_a, n_b = dims
+        rho = ginibre_state(n_a, n_b, min(rank, n_a * n_b), seed=seed)
+        m = random_kraus(n_a, outcomes, np.random.default_rng(m_seed))
+        before = partial_trace(rho, "B").matrix
+        after = partial_trace(apply_one_sided(rho, m), "B").matrix
+        assert np.abs(after - before).max() <= 1e-10
+
     def test_branch_marginal_identities(self):
         # tr_B of an unnormalized branch equals A rho_A A^dag, and the two
         # branch traces agree
@@ -291,6 +325,23 @@ class TestValidation:
                 NeumarkBasis(2, 3, ext)
             with pytest.raises(ValueError, match="non-finite"):
                 RankOnePOVM(2, eye)
+
+    @PROPERTY
+    @given(
+        kind=st.sampled_from(sorted(_VALID)),
+        position=st.integers(0, 15),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        imaginary=st.booleans(),
+    )
+    def test_non_finite_rejected_anywhere(self, kind, position, bad, imaginary):
+        valid, build = _VALID[kind]
+        a = valid.astype(complex)
+        index = np.unravel_index(position % a.size, a.shape)
+        a[index] = complex(0.0, bad) if imaginary else bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                build(a)
 
     def test_neumark_too_small(self):
         with pytest.raises(ValueError):

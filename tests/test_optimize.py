@@ -84,7 +84,7 @@ class TestMinimize:
         def objective(x):
             return float(((x - c) ** 2).sum())
 
-        cfg = OptimizerConfig(restarts=3, x_tol=1e-8, seed=2)
+        cfg = OptimizerConfig(restarts=3, seed=2)
         out = minimize_vector(objective, 4, cfg)
         np.testing.assert_allclose(out.best_params, c, atol=1e-6)
 

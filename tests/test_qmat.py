@@ -11,7 +11,6 @@ from discordium.qmat import (
     classical_state,
     eigh,
     ginibre_state,
-    make_state,
     partial_trace,
     product_state,
     purify,
@@ -214,12 +213,6 @@ class TestGenerators:
             assert np.abs(m - m.conj().T).max() <= 1e-10
             assert abs(np.trace(m) - 1) <= 1e-10
             assert np.linalg.eigvalsh(m)[0] >= -1e-10
-
-    def test_make_state_dispatch(self):
-        np.testing.assert_allclose(make_state("bell").matrix, bell_state().matrix)
-        assert make_state("ginibre", seed=3, n_A=2, n_B=2, rank=2).state.rank == 2
-        with pytest.raises(ValueError):
-            make_state("bogus")
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
