@@ -8,11 +8,12 @@ Each side runs in its own interpreter with ``PYTHONPATH`` pointing at one
 to one thread.  For every fixture below and every solve (``discord_P``,
 ``discord_PE(N=4)``, ``discord_two_sided``, ``eof_via_decomposition(K=4)``)
 it records the value (as ``float.hex``), the evaluation count, the path the
-solve took (``exact`` or ``optimizer``) and the median wall time over
-``--repeats`` rounds; each round runs the old side and then
-the new, so that a slow spell of the host hits both alike.  Values and
-evaluation counts are deterministic and compare across machines; wall
-times do not.
+solve took and the median wall time over ``--repeats`` rounds.  P and PE
+run the search (``search=True``): these rank-2 fixtures would otherwise
+take the closed-form path, which measures no search.  Each round runs the
+old side and then the new, so that a slow spell of the host hits both
+alike.  Values and evaluation counts are deterministic and compare across
+machines; wall times do not.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import subprocess
 import sys
 
 import numpy as np
-import scipy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # The rank-2 fixtures the benchmark's repeated solves and probes run on.
@@ -41,14 +41,14 @@ def _measure(restarts: int, seed: int) -> list[dict]:
     import time
 
     from discordium.cli import load_state
-    from discordium.discord import discord_P, discord_PE, discord_two_sided
+    from discordium.discord import _discord_P, _discord_PE, discord_two_sided
     from discordium.entangle import eof_via_decomposition
     from discordium.optimize import OptimizerConfig
 
     cfg = OptimizerConfig(restarts=restarts, seed=seed)
     calls = {
-        "P": lambda rho: discord_P(rho, cfg),
-        "PE(4)": lambda rho: discord_PE(rho, 4, cfg),
+        "P": lambda rho: _discord_P(rho, cfg, search=True),
+        "PE(4)": lambda rho: _discord_PE(rho, 4, cfg, search=True),
         "two_sided": lambda rho: discord_two_sided(rho, cfg=cfg),
         "eof(K=4)": lambda rho: eof_via_decomposition(rho.state, 2, 2, K=4, cfg=cfg),
     }
@@ -132,8 +132,7 @@ def main() -> None:
         "config": {"restarts": args.restarts, "seed": args.seed, "repeats": args.repeats,
                    "blas_threads": 1},
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
-                 "python": platform.python_version(), "numpy": np.__version__,
-                 "scipy": scipy.__version__},
+                 "python": platform.python_version(), "numpy": np.__version__},
         "rows": rows,
     }
     pathlib.Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")

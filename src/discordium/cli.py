@@ -15,6 +15,7 @@ can be re-evaluated.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -142,15 +143,6 @@ def deserialize_measurement(doc: dict):
     raise ValueError(f"unknown measurement type {kind!r}")
 
 
-def _config_to_json(cfg: OptimizerConfig) -> dict:
-    return {
-        "restarts": cfg.restarts,
-        "max_iters": cfg.max_iters,
-        "f_tol": cfg.f_tol,
-        "seed": cfg.seed,
-    }
-
-
 def _report(label, rho, quantity, variant, value, measurement=None, config=None) -> dict:
     return {
         "input": {"label": label, "sha256": state_hash(rho)},
@@ -158,7 +150,7 @@ def _report(label, rho, quantity, variant, value, measurement=None, config=None)
         "variant": variant,
         "value_bits": value,
         "measurement": serialize_measurement(measurement) if measurement is not None else None,
-        "config": _config_to_json(config) if config is not None else None,
+        "config": dataclasses.asdict(config) if config is not None else None,
         "library_version": __version__,
     }
 

@@ -169,6 +169,16 @@ class TestDiscordCommand:
         assert code == 2
         assert "below n_A" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--f-tol", "nan", "f_tol"), ("--max-iters", "0", "max_iters")]
+    )
+    def test_bad_optimizer_settings_rejected(self, capsys, flag, value, name):
+        code, _, err = run_cli(
+            capsys, "discord", str(FIXTURES / "werner_p050.json"), "--restarts", "1", flag, value
+        )
+        assert code == 2
+        assert name in err
+
     def test_report_reevaluates(self, tmp_path, capsys):
         from discordium.discord import evaluate_measurement
 

@@ -1,7 +1,26 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from discordium.optimize import OptimizerConfig, minimize_vector, unitary_from_vector
+import discordium
+from discordium.discord import (
+    _conditional_blocks,
+    _ensemble_term,
+    _entropy_constant,
+    _pair_matrix,
+)
+from discordium.optimize import (
+    X_TOL,
+    OptimizerConfig,
+    _local_search,
+    minimize_vector,
+    unitary_from_vector,
+)
+from discordium.qmat import ginibre_state
 
 
 def _eigh_route(params, n):
@@ -132,3 +151,111 @@ class TestMinimize:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(f_tol=0.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(f_tol=float("nan"))
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iters=0)
+
+
+def _scipy_chain(objective, x0, cfg):
+    """The re-anchored chain over ``scipy.optimize.minimize`` that
+    ``_local_search`` replaced, kept as its reference."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    x, fx = x0, objective(x0)
+    evals, iters_left, converged = 1, cfg.max_iters, False
+    chain_cap = max(200, 70 * len(x0))
+    while iters_left > 0:
+        res = minimize(
+            objective,
+            x,
+            method="Nelder-Mead",
+            options={
+                "maxiter": min(iters_left, chain_cap),
+                "fatol": cfg.f_tol,
+                "xatol": X_TOL,
+                "adaptive": True,
+            },
+        )
+        evals += res.nfev
+        iters_left -= res.nit
+        improved = fx - res.fun
+        if res.fun < fx:
+            x, fx = res.x, res.fun
+        if res.success:
+            converged = True
+        if improved <= cfg.f_tol:
+            break
+    return float(fx), x, evals, converged
+
+
+def _smooth16(x):
+    # extended Rosenbrock: a curved valley that outlasts the first run
+    return float((100 * (x[1::2] - x[::2] ** 2) ** 2 + (1 - x[::2]) ** 2).sum())
+
+
+def _kinked_discord():
+    """The PE(3) loss of a rank-3 two-qubit state: an entropy of
+    conditional spectra, not smooth where two eigenvalues cross or one
+    reaches zero."""
+    rho = ginibre_state(2, 2, 3, seed=0)
+    const, pair = _entropy_constant(rho), _pair_matrix(rho)
+
+    def objective(x):
+        u = unitary_from_vector(x, 3)
+        return const + _ensemble_term(_conditional_blocks(pair, u[:2, :].T, 2))
+
+    return objective
+
+
+def _nan_beyond(x):
+    # NaN past a wall: a NaN vertex sorts last, yet is the run's min value
+    return float("nan") if x[0] > 0.9 else float(((x - 1) ** 2).sum())
+
+
+class TestScipyReference:
+    """Value, point, evaluation count and convergence flag of a restart
+    match the scipy-driven chain bit for bit."""
+
+    @pytest.mark.parametrize(
+        "objective, x0, cfg",
+        [
+            pytest.param(
+                _smooth16, np.random.default_rng(0).uniform(-np.pi, np.pi, 16),
+                OptimizerConfig(), id="smooth16",
+            ),
+            # three runs, each step kind and a shrink; the second converges
+            pytest.param(_kinked_discord(), np.zeros(9), OptimizerConfig(), id="kinked-zero"),
+            pytest.param(
+                _kinked_discord(), np.random.default_rng(1).uniform(-np.pi, np.pi, 9),
+                OptimizerConfig(), id="kinked-random",
+            ),
+            pytest.param(
+                _smooth16, np.where(np.arange(16) % 3, 0.0, np.linspace(-1.0, 1.5, 16)),
+                OptimizerConfig(), id="mixed-zero-x0",
+            ),
+            # the first run takes its full 1120 iterations, so the budget
+            # runs out 380 iterations into the second
+            pytest.param(
+                _smooth16, np.random.default_rng(2).uniform(-np.pi, np.pi, 16),
+                OptimizerConfig(max_iters=1500), id="budget-mid-chain",
+            ),
+            pytest.param(_nan_beyond, np.zeros(4), OptimizerConfig(max_iters=600), id="nan"),
+        ],
+    )
+    def test_bit_identical(self, objective, x0, cfg):
+        want = _scipy_chain(objective, x0, cfg)
+        got = _local_search(objective, x0, cfg)
+        assert got[0].hex() == want[0].hex()
+        assert got[1].tobytes() == np.asarray(want[1]).tobytes()
+        assert got[2:] == want[2:]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = pathlib.Path(discordium.__file__).resolve().parent.parent
+    code = "import sys, discordium.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
