@@ -10,10 +10,12 @@ to one thread.  For every fixture below and every solve (``discord_P``,
 it records the value (as ``float.hex``), the evaluation count, the path the
 solve took and the median wall time over ``--repeats`` rounds.  P and PE
 run the search (``search=True``): these rank-2 fixtures would otherwise
-take the closed-form path, which measures no search.  Each round runs the
-old side and then the new, so that a slow spell of the host hits both
-alike.  Values and evaluation counts are deterministic and compare across
-machines; wall times do not.
+take the closed-form path, which measures no search.  Beside them run the
+benchmark's six n_A = 3 ``qudit_mixed`` states at workload seed 0 through
+``discord_P`` and ``discord_PE(N=4)`` at that workload's 6 restarts.
+Each round runs the old side and then the new, so that a slow spell of
+the host hits both alike.  Values and evaluation counts are deterministic
+and compare across machines; wall times do not.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # The rank-2 fixtures the benchmark's repeated solves and probes run on.
 FIXTURES = tuple(f"rank2_{k:02d}" for k in (0, 1, 2, 4, 6, 7, 9))
 SOLVES = ("P", "PE(4)", "two_sided", "eof(K=4)")
+# (index, n_A, n_B, rank) of the n_A = 3 states of bench/workloads.py's
+# QUDIT_SHAPES, solved at its RESTARTS_QUDIT restarts.
+QUDIT_STATES = ((1, 3, 2, 3), (2, 3, 3, 3), (3, 3, 2, 6), (4, 3, 3, 5), (5, 3, 3, 6), (6, 3, 3, 9))
+QUDIT_SOLVES = ("P", "PE(4)")
+QUDIT_RESTARTS = 6
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -44,20 +51,32 @@ def _measure(restarts: int, seed: int) -> list[dict]:
     from discordium.discord import _discord_P, _discord_PE, discord_two_sided
     from discordium.entangle import eof_via_decomposition
     from discordium.optimize import OptimizerConfig
+    from discordium.qmat import ginibre_state
 
-    cfg = OptimizerConfig(restarts=restarts, seed=seed)
-    calls = {
-        "P": lambda rho: _discord_P(rho, cfg, search=True),
-        "PE(4)": lambda rho: _discord_PE(rho, 4, cfg, search=True),
-        "two_sided": lambda rho: discord_two_sided(rho, cfg=cfg),
-        "eof(K=4)": lambda rho: eof_via_decomposition(rho.state, 2, 2, K=4, cfg=cfg),
-    }
+    def calls(restarts):
+        cfg = OptimizerConfig(restarts=restarts, seed=seed)
+        return {
+            "P": lambda rho: _discord_P(rho, cfg, search=True),
+            "PE(4)": lambda rho: _discord_PE(rho, 4, cfg, search=True),
+            "two_sided": lambda rho: discord_two_sided(rho, cfg=cfg),
+            "eof(K=4)": lambda rho: eof_via_decomposition(rho.state, 2, 2, K=4, cfg=cfg),
+        }
+
+    jobs = [
+        (name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0], calls(restarts), SOLVES)
+        for name in FIXTURES
+    ]
+    for i, n_a, n_b, rank in QUDIT_STATES:
+        # the benchmark's _sub_seed(0, i)
+        state_seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
+        rho = ginibre_state(n_a, n_b, rank, state_seed)
+        label = f"ginibre_{n_a}x{n_b}_r{rank}_{i:02d}"
+        jobs.append((label, rho, calls(QUDIT_RESTARTS), QUDIT_SOLVES))
     rows = []
-    for name in FIXTURES:
-        rho, _ = load_state(str(ROOT / "fixtures" / f"{name}.json"))
-        for solve in SOLVES:
+    for name, rho, call, solves in jobs:
+        for solve in solves:
             t0 = time.perf_counter()
-            res = calls[solve](rho)
+            res = call[solve](rho)
             wall = time.perf_counter() - t0
             value = res.eof if solve.startswith("eof") else res.value
             rows.append({
@@ -129,15 +148,15 @@ def main() -> None:
             "time_ratio": b["wall_s"] / a["wall_s"],
         })
     doc = {
-        "config": {"restarts": args.restarts, "seed": args.seed, "repeats": args.repeats,
-                   "blas_threads": 1},
+        "config": {"restarts": args.restarts, "qudit_restarts": QUDIT_RESTARTS,
+                   "seed": args.seed, "repeats": args.repeats, "blas_threads": 1},
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
         "rows": rows,
     }
     pathlib.Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
     for r in rows:
-        print(f"{r['fixture']:9s} {r['solve']:10s} {r['after']['path']:9s} "
+        print(f"{r['fixture']:17s} {r['solve']:10s} {r['after']['path']:9s} "
               f"evals {r['before']['evaluations']:5d} -> "
               f"{r['after']['evaluations']:5d}  time {r['before']['wall_s']*1e3:7.1f} -> "
               f"{r['after']['wall_s']*1e3:7.1f} ms  |dvalue| {r['abs_value_change']:.1e}")

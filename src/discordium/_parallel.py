@@ -4,8 +4,9 @@ The DISCORDIUM_THREADS environment variable caps how many workers the
 batteries may use (default and upper limit: hardware concurrency).
 Battery trials are seconds-long and independent, so they fan out across
 processes; optimizer restarts are dominated by small-matrix numpy calls
-that CPython threads only slow down, so ``optimize`` runs them serially
-and does not come here.  Results are always merged by task index, making
+that CPython threads only slow down, so ``optimize`` runs them in lockstep
+in one process, evaluating each round's points as one numpy stack, and
+does not come here.  Results are always merged by task index, making
 the outcome schedule-independent.
 """
 

@@ -223,12 +223,15 @@ def cmd_discord(args) -> int:
                 ("path", res.path),
                 ("restarts", cfg.restarts),
                 ("evaluations", res.outcome.evaluations),
+                ("agreeing_restarts", res.outcome.agreeing_restarts),
                 ("converged", res.outcome.converged),
             ]
         )
         return 0
     doc = _report(label, rho, "discord", res.variant, _value_to_json(res.value), res.measurement, cfg)
     doc["path"] = res.path
+    doc["agreeing_restarts"] = res.outcome.agreeing_restarts
+    doc["restart_evaluations"] = list(res.outcome.restart_evaluations)
     _emit(doc, args)
     return 0
 

@@ -50,6 +50,7 @@ from .measure import (
 from .optimize import (
     OptimizationOutcome,
     OptimizerConfig,
+    StackedObjective,
     minimize_vector,
     unitary_from_vector,
 )
@@ -111,11 +112,18 @@ def _pair_matrix(rho: BipartiteState) -> np.ndarray:
     )
 
 
+def _projector_weights(vecs: np.ndarray) -> np.ndarray:
+    """Flattened outer products conj(g) g^T of each vector row, so that
+    ``weights @ pair`` contracts rho with |g><g| on A."""
+    n = vecs.shape[-1]
+    w = vecs.conj()[..., :, None] * vecs[..., None, :]
+    return w.reshape(*vecs.shape[:-1], n * n)
+
+
 def _conditional_blocks(pair: np.ndarray, vecs: np.ndarray, n_B: int) -> np.ndarray:
-    """Unnormalized conditional B states <g|rho|g> for each vector row."""
-    k, n_A = vecs.shape
-    w = (vecs.conj()[:, :, None] * vecs[:, None, :]).reshape(k, n_A * n_A)
-    return (w @ pair).reshape(k, n_B, n_B)
+    """Unnormalized conditional B states <g|rho|g> for each vector row,
+    over any leading stack axes of ``vecs``."""
+    return (_projector_weights(vecs) @ pair).reshape(*vecs.shape[:-1], n_B, n_B)
 
 
 def _branch_entropy_contrib(conds: np.ndarray) -> np.ndarray:
@@ -125,25 +133,26 @@ def _branch_entropy_contrib(conds: np.ndarray) -> np.ndarray:
     go through the batched eigensolver.
     """
     if conds.shape[-1] == 2:
-        t = (conds[:, 0, 0] + conds[:, 1, 1]).real
-        det = (conds[:, 0, 0] * conds[:, 1, 1] - conds[:, 0, 1] * conds[:, 1, 0]).real
+        a, d = conds[..., 0, 0], conds[..., 1, 1]
+        t = (a + d).real
+        det = (a * d - conds[..., 0, 1] * conds[..., 1, 0]).real
         disc = np.sqrt(np.maximum(t * t - 4 * det, 0))
         return _xlog2x(t) - (_xlog2x((t - disc) / 2) + _xlog2x((t + disc) / 2))
     lam = np.linalg.eigvalsh(conds)
-    return _xlog2x(lam.sum(axis=1)) - _xlog2x(lam).sum(axis=1)
+    return _xlog2x(lam.sum(axis=-1)) - _xlog2x(lam).sum(axis=-1)
 
 
-def _ensemble_term(conds: np.ndarray) -> float:
-    """sum_g p_g S(cond_g / p_g) from unnormalized conditionals."""
-    return float(_branch_entropy_contrib(conds).sum())
+def _ensemble_term(conds: np.ndarray) -> np.ndarray:
+    """sum_g p_g S(cond_g / p_g) from unnormalized conditionals
+    (..., g, n_B, n_B): one sum per leading stack index."""
+    return _branch_entropy_contrib(conds).sum(axis=-1)
 
 
-def _classical_joint(pair_a: np.ndarray, vecs_a, vecs_b, n_B: int) -> np.ndarray:
-    """Joint outcome distribution of a product rank-1 measurement."""
-    conds = _conditional_blocks(pair_a, vecs_a, n_B)
-    k_b, _ = vecs_b.shape
-    w_b = (vecs_b.conj()[:, :, None] * vecs_b[:, None, :]).reshape(k_b, n_B * n_B)
-    return (conds.reshape(len(vecs_a), n_B * n_B) @ w_b.T).real
+def _classical_joint(pair_a: np.ndarray, vecs_a, vecs_b) -> np.ndarray:
+    """Joint outcome distribution of a product rank-1 measurement, over any
+    leading stack axes shared by ``vecs_a`` and ``vecs_b``."""
+    conds = _projector_weights(vecs_a) @ pair_a  # flattened B blocks per A outcome
+    return (conds @ _projector_weights(vecs_b).swapaxes(-1, -2)).real
 
 
 def default_extension_dim(rho: BipartiteState) -> int:
@@ -229,8 +238,10 @@ def _one_sided(
     pair = _pair_matrix(rho)
 
     def loss(u):
-        # restricted columns, one per outcome
-        return const + _ensemble_term(_conditional_blocks(pair, u[:n_A, :].T, n_B))
+        # restricted columns, one per outcome, for one basis or a stack
+        return const + _ensemble_term(
+            _conditional_blocks(pair, u[..., :n_A, :].swapaxes(-1, -2), n_B)
+        )
 
     if not search and _has_exact_path(rho):
         z = _koashi_winter_generator(rho)
@@ -238,9 +249,11 @@ def _one_sided(
         k = n_params - N * (N - 1)  # diagonal angles before the (0, 1) entry
         params[k : k + 2] = z.real, z.imag
         u = unitary_from_vector(params, N)
-        value = loss(u)
+        value = float(loss(u))
         return OptimizationOutcome(value, params, 0, (value,), True), u
-    out = minimize_vector(lambda x: loss(unitary_from_vector(x, N)), n_params, cfg)
+    out = minimize_vector(
+        StackedObjective(lambda x: loss(unitary_from_vector(x, N))), n_params, cfg
+    )
     return out, unitary_from_vector(out.best_params, N)
 
 
@@ -280,10 +293,12 @@ def discord_PE(
     """Discord over Neumark-extended projective measurements on A.
 
     Minimizes the ensemble loss over orthonormal bases of an N-dimensional
-    extension, acting through their restrictions to H_A.  Nonincreasing in
-    N; ``N=None`` picks :func:`default_extension_dim`.  On the exact path
-    the basis is projective: the closed-form qubit basis padded with N - 2
-    columns outside H_A.
+    extension, acting through their restrictions to H_A.  The infimum is
+    nonincreasing in N, but the value the search returns need not be: on
+    n_A = 3 states the 81-angle search at N = 9 lands above its value at
+    N = 4, and above D_P.  ``N=None`` picks :func:`default_extension_dim`.
+    On the exact path the basis is projective: the closed-form qubit basis
+    padded with N - 2 columns outside H_A.
     """
     return _discord_PE(rho, N, cfg, search=False)
 
@@ -322,18 +337,19 @@ def discord_two_sided(
     k_a = _chart_size(N_A, n_A)
 
     def objective(x):
-        u_a = unitary_from_vector(x[:k_a], N_A)
-        u_b = unitary_from_vector(x[k_a:], N_B)
-        q = _classical_joint(pair, u_a[:n_A, :].T, u_b[:n_B, :].T, n_B)
-        # post-measurement state is diagonal in the product extension basis,
-        # so the bracket reduces to classical entropies of the outcome table
-        return const + float(
-            _xlog2x(q.sum(axis=1)).sum()
-            + _xlog2x(q.sum(axis=0)).sum()
-            - _xlog2x(q.ravel()).sum()
+        u_a = unitary_from_vector(x[:, :k_a], N_A)
+        u_b = unitary_from_vector(x[:, k_a:], N_B)
+        q = _classical_joint(
+            pair, u_a[:, :n_A, :].swapaxes(1, 2), u_b[:, :n_B, :].swapaxes(1, 2)
         )
+        # post-measurement state is diagonal in the product extension basis,
+        # so the bracket reduces to classical entropies of the outcome table:
+        # its two marginals' sum x log x, minus the table's
+        t = _xlog2x(np.concatenate([q.sum(axis=2), q.sum(axis=1), q.reshape(len(x), -1)], axis=1))
+        k = N_A + N_B
+        return const + (t[:, :N_A].sum(axis=1) + t[:, N_A:k].sum(axis=1) - t[:, k:].sum(axis=1))
 
-    out = minimize_vector(objective, k_a + _chart_size(N_B, n_B), cfg)
+    out = minimize_vector(StackedObjective(objective), k_a + _chart_size(N_B, n_B), cfg)
     nb_a = NeumarkBasis(n_A, N_A, unitary_from_vector(out.best_params[:k_a], N_A))
     nb_b = NeumarkBasis(n_B, N_B, unitary_from_vector(out.best_params[k_a:], N_B))
     return DiscordResult(f"two_sided_PE({N_A},{N_B})", out.best_value, (nb_a, nb_b), out)

@@ -17,7 +17,13 @@ import numpy as np
 
 from .discord import _discord_P, _discord_PE, _ensemble_term
 from .entropy import _xlog2x, von_neumann
-from .optimize import OptimizationOutcome, OptimizerConfig, minimize_vector, unitary_from_vector
+from .optimize import (
+    OptimizationOutcome,
+    OptimizerConfig,
+    StackedObjective,
+    minimize_vector,
+    unitary_from_vector,
+)
 from .qmat import (
     RANK_TOL,
     BipartiteState,
@@ -101,12 +107,12 @@ def eof_via_decomposition(
 
     def objective(x):
         u = unitary_from_vector(x, K)
-        phi = scaled @ u.T  # column l = unnormalized decomposition vector l
-        mats = phi.T.reshape(K, n_left, n_right)
-        reds = mats @ mats.conj().transpose(0, 2, 1)  # left marginals, unnormalized
+        phi = scaled @ u.swapaxes(1, 2)  # column l = unnormalized decomposition vector l
+        mats = phi.swapaxes(1, 2).reshape(len(x), K, n_left, n_right)
+        reds = mats @ mats.conj().swapaxes(2, 3)  # left marginals, unnormalized
         return _ensemble_term(reds)
 
-    out = minimize_vector(objective, K * K, cfg)
+    out = minimize_vector(StackedObjective(objective), K * K, cfg)
     conc = concurrence_2q(rho) if (n_left, n_right) == (2, 2) else None
     return EntanglementResult(
         concurrence=conc, eof=out.best_value, method="decomposition", outcome=out

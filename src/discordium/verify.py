@@ -120,7 +120,7 @@ def grid_discord_two_sided(rho: BipartiteState, resolution: int) -> float:
     if rho.n_A != 2 or rho.n_B != 2:
         raise ValueError("two-sided grid oracle needs a 2x2 state")
     vecs = _bloch_grid_vectors(resolution)
-    q = _classical_joint(_pair_matrix(rho), vecs, vecs, 2)
+    q = _classical_joint(_pair_matrix(rho), vecs, vecs)
     n = len(vecs) // 2
     joint = -_xlog2x(q.reshape(n, 2, n, 2)).sum(axis=(1, 3))  # (g_A, g_B)
     # each side's outcome distribution depends on its own basis only, so

@@ -217,6 +217,31 @@ class TestDiscordCommand:
         assert code == 0
         assert json.loads(out)["path"] == "optimizer"
 
+    def test_restart_diagnostics(self, capsys):
+        from discordium.discord import discord_P
+        from discordium.optimize import OptimizerConfig
+
+        path = str(FIXTURES / "werner_p075.json")  # rank 4, so the search runs
+        args = ("discord", path, "--restarts", "3", "--max-iters", "600")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        res = discord_P(load_state(path)[0], OptimizerConfig(restarts=3, max_iters=600))
+        assert doc["restart_evaluations"] == list(res.outcome.restart_evaluations)
+        assert len(doc["restart_evaluations"]) == 3
+        assert sum(doc["restart_evaluations"]) == res.outcome.evaluations
+        agree = sum(abs(v - res.value) <= 1e-8 for v in res.outcome.restart_values)
+        assert doc["agreeing_restarts"] == res.outcome.agreeing_restarts == agree >= 1
+        code, out, _ = run_cli(capsys, *args, "--table")
+        assert code == 0
+        assert dict(line.split() for line in out.splitlines())["agreeing_restarts"] == str(agree)
+        # the exact path runs no restart; its one value agrees with itself
+        code, out, _ = run_cli(capsys, "discord", str(FIXTURES / "rank2_00.json"))
+        doc = json.loads(out)
+        assert (doc["path"], doc["agreeing_restarts"], doc["restart_evaluations"]) == (
+            "exact", 1, []
+        )
+
     def test_two_sided(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -7,15 +7,22 @@ import numpy as np
 import pytest
 
 import discordium
+import discordium.discord as discord_mod
+import discordium.entangle as entangle_mod
 from discordium.discord import (
     _conditional_blocks,
+    _discord_P,
+    _discord_PE,
     _ensemble_term,
     _entropy_constant,
     _pair_matrix,
+    discord_two_sided,
 )
+from discordium.entangle import eof_via_decomposition
 from discordium.optimize import (
     X_TOL,
     OptimizerConfig,
+    StackedObjective,
     _local_search,
     minimize_vector,
     unitary_from_vector,
@@ -87,6 +94,78 @@ class TestProjectiveChart:
             r, phi = t / 2, np.pi / 2 - f
             u = unitary_from_vector(np.array([r * np.cos(phi), r * np.sin(phi)]), 2)
             np.testing.assert_allclose(_projectors(u), _projectors(target), atol=1e-13)
+
+
+class TestStackedUnitary:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chart", ["full", "projective"])
+    def test_stack_equals_rows(self, n, chart):
+        size = n * n if chart == "full" else n * (n - 1)
+        params = np.random.default_rng(n).uniform(-np.pi, np.pi, (7, size))
+        params[3] = 0.0  # the identity, where the qubit closed form divides by r
+        rows = np.stack([unitary_from_vector(x, n) for x in params])
+        assert np.array_equal(unitary_from_vector(params, n), rows)
+        for m in (1, 2, 5):
+            assert np.array_equal(unitary_from_vector(params[:m], n), rows[:m])
+
+
+def _capture(monkeypatch, module, solve):
+    """The objective and parameter count a solve hands minimize_vector."""
+    seen = []
+    monkeypatch.setattr(module, "minimize_vector", lambda f, n, cfg: seen.append((f, n)) or (
+        minimize_vector(f, n, OptimizerConfig(restarts=1, max_iters=1))
+    ))
+    solve()
+    monkeypatch.undo()
+    return seen[0]
+
+
+_RHO_2x2 = ginibre_state(2, 2, 3, seed=0)
+_RHO_3x3 = ginibre_state(3, 3, 3, seed=1)
+_FAMILIES = {
+    "P-2x2": (discord_mod, lambda cfg: _discord_P(_RHO_2x2, cfg, search=True)),
+    "P-3x3": (discord_mod, lambda cfg: _discord_P(_RHO_3x3, cfg, search=True)),
+    "PE(4)": (discord_mod, lambda cfg: _discord_PE(_RHO_2x2, 4, cfg, search=True)),
+    "two-sided": (discord_mod, lambda cfg: discord_two_sided(_RHO_2x2, cfg=cfg)),
+    "EOF(K=4)": (entangle_mod, lambda cfg: eof_via_decomposition(_RHO_2x2.state, 2, 2, 4, cfg)),
+}
+
+
+def _same_outcome(a, b):
+    assert a.best_value.hex() == b.best_value.hex()
+    assert a.best_params.tobytes() == b.best_params.tobytes()
+    assert [v.hex() for v in a.restart_values] == [v.hex() for v in b.restart_values]
+    assert a.restart_evaluations == b.restart_evaluations
+    assert (a.evaluations, a.converged) == (b.evaluations, b.converged)
+
+
+class TestLockstep:
+    """Every family's kernel evaluates a stack per lockstep round; a plain
+    per-point wrapper of it, as a tracer would pass, takes the same
+    trajectories."""
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_stacked_equals_per_point(self, monkeypatch, family):
+        module, solve = _FAMILIES[family]
+        objective, n_params = _capture(monkeypatch, module, lambda: solve(None))
+        assert isinstance(objective, StackedObjective)
+        calls = []
+        stacked = objective.stacked
+        counted = StackedObjective(lambda x: calls.append(len(x)) or stacked(x))
+        cfg = OptimizerConfig(restarts=3, max_iters=300, seed=4)
+        got = minimize_vector(counted, n_params, cfg)
+        _same_outcome(got, minimize_vector(lambda x: objective(x), n_params, cfg))
+        # one kernel call per round, not per point
+        assert sum(calls) == got.evaluations > len(calls)
+        assert sum(got.restart_evaluations) == got.evaluations
+
+    def test_restart_depends_only_on_seed_and_index(self, monkeypatch):
+        module, solve = _FAMILIES["P-3x3"]
+        objective, n_params = _capture(monkeypatch, module, lambda: solve(None))
+        three = minimize_vector(objective, n_params, OptimizerConfig(restarts=3, max_iters=300))
+        six = minimize_vector(objective, n_params, OptimizerConfig(restarts=6, max_iters=300))
+        assert [v.hex() for v in three.restart_values] == [v.hex() for v in six.restart_values[:3]]
+        assert three.restart_evaluations == six.restart_evaluations[:3]
 
 
 class TestMinimize:
