@@ -11,8 +11,11 @@ it records the value (as ``float.hex``), the evaluation count, the path the
 solve took and the median wall time over ``--repeats`` rounds.  P and PE
 run the search (``search=True``): these rank-2 fixtures would otherwise
 take the closed-form path, which measures no search.  Beside them run the
-benchmark's six n_A = 3 ``qudit_mixed`` states at workload seed 0 through
-``discord_P`` and ``discord_PE(N=4)`` at that workload's 6 restarts.
+benchmark's n_A = 3 ``qudit_mixed`` states at workload seed 0 through
+``discord_P`` and ``discord_PE(N=4)`` at that workload's restarts.  The
+fixtures, states and restarts are read from ``bench/workloads.py``
+(``UPPER_RANK2``, ``QUDIT_SHAPES``, ``RESTARTS_QUDIT``, ``_sub_seed``), so
+the record always covers the benchmark's inputs.
 Each round runs the old side and then the new, so that a slow spell of
 the host hits both alike.  Values and evaluation counts are deterministic
 and compare across machines; wall times do not.
@@ -32,20 +35,17 @@ import sys
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# The rank-2 fixtures the benchmark's repeated solves and probes run on.
-FIXTURES = tuple(f"rank2_{k:02d}" for k in (0, 1, 2, 4, 6, 7, 9))
 SOLVES = ("P", "PE(4)", "two_sided", "eof(K=4)")
-# (index, n_A, n_B, rank) of the n_A = 3 states of bench/workloads.py's
-# QUDIT_SHAPES, solved at its RESTARTS_QUDIT restarts.
-QUDIT_STATES = ((1, 3, 2, 3), (2, 3, 3, 3), (3, 3, 2, 6), (4, 3, 3, 5), (5, 3, 3, 6), (6, 3, 3, 9))
 QUDIT_SOLVES = ("P", "PE(4)")
-QUDIT_RESTARTS = 6
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _measure(restarts: int, seed: int) -> list[dict]:
     """Runs inside the child interpreter, against whichever library it imports."""
     import time
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import QUDIT_SHAPES, RESTARTS_QUDIT, UPPER_RANK2, _sub_seed
 
     from discordium.cli import load_state
     from discordium.discord import _discord_P, _discord_PE, discord_two_sided
@@ -63,17 +63,17 @@ def _measure(restarts: int, seed: int) -> list[dict]:
         }
 
     jobs = [
-        (name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0], calls(restarts), SOLVES)
-        for name in FIXTURES
+        (name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0], restarts, SOLVES)
+        for name in UPPER_RANK2
     ]
-    for i, n_a, n_b, rank in QUDIT_STATES:
-        # the benchmark's _sub_seed(0, i)
-        state_seed = int(np.random.SeedSequence([0, i]).generate_state(1)[0])
-        rho = ginibre_state(n_a, n_b, rank, state_seed)
-        label = f"ginibre_{n_a}x{n_b}_r{rank}_{i:02d}"
-        jobs.append((label, rho, calls(QUDIT_RESTARTS), QUDIT_SOLVES))
+    for i, (n_a, n_b, rank) in enumerate(QUDIT_SHAPES):
+        if n_a == 3:  # the qudit_mixed states at workload seed 0
+            rho = ginibre_state(n_a, n_b, rank, _sub_seed(0, i))
+            label = f"ginibre_{n_a}x{n_b}_r{rank}_{i:02d}"
+            jobs.append((label, rho, RESTARTS_QUDIT, QUDIT_SOLVES))
     rows = []
-    for name, rho, call, solves in jobs:
+    for name, rho, job_restarts, solves in jobs:
+        call = calls(job_restarts)
         for solve in solves:
             t0 = time.perf_counter()
             res = call[solve](rho)
@@ -82,6 +82,7 @@ def _measure(restarts: int, seed: int) -> list[dict]:
             rows.append({
                 "fixture": name,
                 "solve": solve,
+                "restarts": job_restarts,
                 "value_hex": float(value).hex(),
                 "evaluations": res.outcome.evaluations,
                 # EOF results, and discord results of a library without the
@@ -140,6 +141,7 @@ def main() -> None:
         rows.append({
             "fixture": a["fixture"],
             "solve": a["solve"],
+            "restarts": a["restarts"],
             "before": {k: b[k] for k in ("value_hex", "evaluations", "path", "wall_s")},
             "after": {k: a[k] for k in ("value_hex", "evaluations", "path", "wall_s")},
             "abs_value_change": abs(float.fromhex(a["value_hex"]) - float.fromhex(b["value_hex"])),
@@ -148,8 +150,8 @@ def main() -> None:
             "time_ratio": b["wall_s"] / a["wall_s"],
         })
     doc = {
-        "config": {"restarts": args.restarts, "qudit_restarts": QUDIT_RESTARTS,
-                   "seed": args.seed, "repeats": args.repeats, "blas_threads": 1},
+        "config": {"restarts": args.restarts, "seed": args.seed,
+                   "repeats": args.repeats, "blas_threads": 1},
         "host": {"machine": platform.machine(), "nproc": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
         "rows": rows,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import _xlog2x, mutual_information, von_neumann
+from .entropy import _xlog2x, conditional_entropy, mutual_information, von_neumann
 from .measure import (
     KrausSet,
     NeumarkBasis,
@@ -77,11 +77,6 @@ class DiscordResult:
         return "exact" if self.outcome.evaluations == 0 else "optimizer"
 
 
-def _entropy_constant(rho: BipartiteState) -> float:
-    """S(rho_A) - S(rho_AB), the measurement-independent part of every loss."""
-    return von_neumann(partial_trace(rho, "A")) - von_neumann(rho.state)
-
-
 def loss_functional(rho: BipartiteState, m: KrausSet) -> float:
     """S(rho_A) - S(rho_AB) + S(post_AB) - S(post_A) for one measurement.
 
@@ -90,7 +85,7 @@ def loss_functional(rho: BipartiteState, m: KrausSet) -> float:
     """
     after = apply_one_sided(rho, m)
     return (
-        _entropy_constant(rho)
+        -conditional_entropy(rho)
         + von_neumann(after.state)
         - von_neumann(partial_trace(after, "A"))
     )
@@ -99,7 +94,7 @@ def loss_functional(rho: BipartiteState, m: KrausSet) -> float:
 def ensemble_loss(rho: BipartiteState, m: KrausSet) -> float:
     """S(rho_A) - S(rho_AB) + sum_a p_a S(conditional B state of outcome a)."""
     ens = branch_ensemble(rho, m)
-    return _entropy_constant(rho) + sum(p * von_neumann(dm) for p, dm in ens.branches)
+    return -conditional_entropy(rho) + sum(p * von_neumann(dm) for p, dm in ens.branches)
 
 
 # -- fast evaluation kernels (raw arrays, used inside optimizer loops) --------
@@ -234,7 +229,7 @@ def _one_sided(
     returned basis.
     """
     n_A, n_B = rho.n_A, rho.n_B
-    const = _entropy_constant(rho)
+    const = -conditional_entropy(rho)  # S(rho_A) - S(rho_AB)
     pair = _pair_matrix(rho)
 
     def loss(u):
@@ -250,7 +245,7 @@ def _one_sided(
         params[k : k + 2] = z.real, z.imag
         u = unitary_from_vector(params, N)
         value = float(loss(u))
-        return OptimizationOutcome(value, params, 0, (value,), True), u
+        return OptimizationOutcome(value, params, (value,), True), u
     out = minimize_vector(
         StackedObjective(lambda x: loss(unitary_from_vector(x, N))), n_params, cfg
     )

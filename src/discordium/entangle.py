@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import _discord_P, _discord_PE, _ensemble_term
+from .discord import _discord_PE, _ensemble_term
 from .entropy import _xlog2x, von_neumann
 from .optimize import (
     OptimizationOutcome,
@@ -133,15 +133,12 @@ def koashi_winter_residual(
     rho: BipartiteState,
     N: int | None = None,
     cfg: OptimizerConfig | None = None,
-    via: str = "PE",
 ) -> float:
     """|discord(AB) - [EOF(BC) + S(A) - S(AB)]| through a qubit purification.
 
     Requires n_B = 2 and rank(rho_AB) <= 2 so that BC is two-qubit and the
-    right-hand side comes from the closed-form EOF.  ``via`` selects the
-    discord on the left: "PE" (extension dim N) or "P" (projective, which
-    agrees whenever the optimal decomposition fits in n_A elements, e.g.
-    for two-qubit states of rank <= 2).
+    right-hand side comes from the closed-form EOF; the left is the
+    searched discord_PE at extension dim N.
     """
     if rho.n_B != 2:
         raise ValueError(f"n_B must be 2, got {rho.n_B}")
@@ -155,10 +152,4 @@ def koashi_winter_residual(
         - von_neumann(rho.state)
     )
     # the residual measures the search, so the exact path is never taken
-    if via == "PE":
-        lhs = _discord_PE(rho, N, cfg, search=True).value
-    elif via == "P":
-        lhs = _discord_P(rho, cfg, search=True).value
-    else:
-        raise ValueError(f"via must be 'PE' or 'P', got {via!r}")
-    return abs(lhs - rhs)
+    return abs(_discord_PE(rho, N, cfg, search=True).value - rhs)

@@ -197,11 +197,6 @@ def from_neumark(nb: NeumarkBasis) -> RankOnePOVM:
     return RankOnePOVM(nb.n_A, vecs[norms > ZERO_OUTCOME_TOL])
 
 
-def embed_projective(pb: ProjectiveBasis) -> NeumarkBasis:
-    """View a projective basis as the trivial N = n_A Neumark extension."""
-    return NeumarkBasis(pb.dim, pb.dim, pb.basis)
-
-
 # -- measurement action -------------------------------------------------------
 
 def apply_one_sided(rho: BipartiteState, m: KrausSet) -> BipartiteState:

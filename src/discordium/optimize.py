@@ -12,10 +12,12 @@ Objectives built on eigenvalue entropies have kinks at spectral
 degeneracies, so the search is derivative-free: multi-restart adaptive
 Nelder-Mead (Gao and Han, Comput. Optim. Appl. 51, 259 (2012)), each
 restart re-anchoring its simplex at the incumbent until the improvement
-drops below f_tol.  The steps follow scipy's ``adaptive=True`` variant in
-its floating-point order, so trajectories match it bit for bit.
-Everything is deterministic for a fixed seed; the first restart always
-starts at the zero vector (the identity).
+drops below F_TOL.  The steps follow scipy's ``adaptive=True`` variant in
+its floating-point order, so trajectories match it bit for bit.  A search
+is set by :class:`OptimizerConfig` (restarts, max_iters, seed); its
+tolerances are the constants X_TOL and F_TOL.  Everything is
+deterministic for a fixed seed; the first restart always starts at the
+zero vector (the identity).
 
 All restarts run in lockstep.  Each is a generator that yields the points
 it needs next and is sent their values; every round, ``_lockstep`` gathers
@@ -37,8 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Largest coordinate distance from the best simplex vertex to any other; a
-# run stops once both it and f_tol (on the values) are met.
+# run stops once both it and F_TOL are met.
 X_TOL = 1e-9
+# Largest value gap from the best simplex vertex to any other; a restart's
+# chain of runs also stops once a run improves its value by no more.
+F_TOL = 1e-9
 # Restarts whose value is within this of the best count as agreeing with it.
 AGREE_TOL = 1e-8
 
@@ -47,14 +52,11 @@ AGREE_TOL = 1e-8
 class OptimizerConfig:
     restarts: int = 20
     max_iters: int = 2000
-    f_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not self.f_tol > 0:
-            raise ValueError(f"f_tol must be positive, got {self.f_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -70,11 +72,15 @@ class OptimizationOutcome:
 
     best_value: float
     best_params: np.ndarray
-    evaluations: int
     restart_values: tuple[float, ...]
     converged: bool
     # evaluations of each restart, in restart order; empty on exact paths
     restart_evaluations: tuple[int, ...] = ()
+
+    @property
+    def evaluations(self) -> int:
+        """Objective evaluations over all restarts; 0 on exact paths."""
+        return sum(self.restart_evaluations)
 
     @property
     def agreeing_restarts(self) -> int:
@@ -151,7 +157,8 @@ def _start_point(seed: int, restart: int, n_params: int) -> np.ndarray:
 
 def _restart(x0: np.ndarray, cfg: OptimizerConfig):
     """One restart as a generator: chained adaptive Nelder-Mead runs until
-    improvement < f_tol.
+    improvement <= F_TOL, within the ``max_iters`` budget of ``cfg`` (an
+    :class:`OptimizerConfig`: restarts, max_iters, seed).
 
     It yields each batch of points it needs next, as the rows of an
     array (its anchor, a start simplex, a reflection, an expansion or
@@ -164,7 +171,7 @@ def _restart(x0: np.ndarray, cfg: OptimizerConfig):
     shrink sigma adapted to n.  Re-anchoring a fresh simplex at the
     incumbent escapes the stagnation plateaus Nelder-Mead hits in >10
     dimensions; the chain stops once a run no longer improves by more than
-    f_tol, or the iteration budget for this restart is spent.  A run counts
+    F_TOL, or the iteration budget for this restart is spent.  A run counts
     its start simplex as an iteration, and re-evaluates its anchor, as
     scipy's does.
     """
@@ -190,7 +197,7 @@ def _restart(x0: np.ndarray, cfg: OptimizerConfig):
                 break
             if (
                 np.abs(sim[1:] - sim[0]).max() <= X_TOL
-                and np.abs(fsim[0] - fsim[1:]).max() <= cfg.f_tol
+                and np.abs(fsim[0] - fsim[1:]).max() <= F_TOL
             ):
                 success = True
                 break
@@ -228,7 +235,7 @@ def _restart(x0: np.ndarray, cfg: OptimizerConfig):
         if fval < fx:
             x, fx = sim[0], fval
         converged |= success
-        if improved <= cfg.f_tol:
+        if improved <= F_TOL:
             break
     return float(fx), x, evals, converged
 
@@ -304,7 +311,6 @@ def minimize_vector(objective, n_params: int, cfg: OptimizerConfig) -> Optimizat
     return OptimizationOutcome(
         best_value=values[best],
         best_params=results[best][1],
-        evaluations=sum(r[2] for r in results),
         restart_values=values,
         converged=results[best][3],
         restart_evaluations=tuple(r[2] for r in results),

@@ -244,7 +244,7 @@ def classical_state(probs, branch_states, basis=None) -> BipartiteState:
     probs = np.asarray(probs, dtype=float)
     _require_finite(probs, "probability vector")
     if not abs(probs.sum() - 1.0) <= 1e-10:
-        raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
+        raise ValueError(f"probabilities must sum to 1, got {float(probs.sum())}")
     if np.any(probs < 0):
         raise ValueError("probabilities must be nonnegative")
     if len(branch_states) != len(probs):

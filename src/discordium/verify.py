@@ -19,13 +19,18 @@ from .discord import (
     _conditional_blocks,
     _discord_P,
     _discord_PE,
-    _entropy_constant,
     _pair_matrix,
     ensemble_loss,
     loss_functional,
 )
 from .entangle import koashi_winter_residual
-from .entropy import _xlog2x, mutual_information, relative_entropy, von_neumann
+from .entropy import (
+    _xlog2x,
+    conditional_entropy,
+    mutual_information,
+    relative_entropy,
+    von_neumann,
+)
 from .measure import (
     apply_one_sided,
     from_neumark,
@@ -111,7 +116,7 @@ def grid_discord_qubit(rho: BipartiteState, resolution: int) -> float:
     conds = _conditional_blocks(_pair_matrix(rho), vecs, rho.n_B)
     contrib = _branch_entropy_contrib(conds)
     per_basis = contrib[0::2] + contrib[1::2]
-    return _entropy_constant(rho) + float(per_basis.min())
+    return -conditional_entropy(rho) + float(per_basis.min())
 
 
 def grid_discord_two_sided(rho: BipartiteState, resolution: int) -> float:

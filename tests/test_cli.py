@@ -170,7 +170,9 @@ class TestDiscordCommand:
         assert "below n_A" in err
 
     @pytest.mark.parametrize(
-        "flag, value, name", [("--f-tol", "nan", "f_tol"), ("--max-iters", "0", "max_iters")]
+        "flag, value, name",
+        # the value tolerance is the constant optimize.F_TOL, not a flag
+        [("--max-iters", "0", "max_iters"), ("--f-tol", "1e-9", "unrecognized arguments")],
     )
     def test_bad_optimizer_settings_rejected(self, capsys, flag, value, name):
         code, _, err = run_cli(
@@ -338,6 +340,26 @@ class TestMakeCommand:
             capsys, "make", "--kind", "werner", "--p", "1.5", "-o", str(tmp_path / "w.json")
         )
         assert code == 2
+        assert "werner parameter must be in [0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--kind", "ginibre", "--dims", "2", "2", "--rank", "0"), "rank must be in [1, 4]"),
+            (("--kind", "ginibre", "--dims", "2", "2", "--rank", "5"), "rank must be in [1, 4]"),
+            (("--kind", "classical", "--probs", "0.5", "0.4"),
+             "probabilities must sum to 1, got 0.9"),
+            (("--kind", "classical", "--probs", "1.2", "-0.2"),
+             "probabilities must be nonnegative"),
+        ],
+        ids=["rank0", "rank5", "sum09", "negative"],
+    )
+    def test_bad_parameters_rejected(self, tmp_path, capsys, argv, message):
+        # each invariant is checked by the state constructor, not the CLI
+        code, _, err = run_cli(capsys, "make", *argv, "-o", str(tmp_path / "s.json"))
+        assert code == 2
+        assert message in err
+        assert "np.float64(" not in err
 
     def test_ginibre_bytes_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -381,6 +403,7 @@ class TestFixtures:
         _, out, _ = run_cli(capsys, *args)
         doc = json.loads(out)
         cfg = doc["config"]
+        assert set(cfg) == {"restarts", "max_iters", "seed"}
         _, out2, _ = run_cli(
             capsys,
             "discord", str(FIXTURES / "rank2_01.json"),
@@ -388,7 +411,6 @@ class TestFixtures:
             "--seed", str(cfg["seed"]),
             "--restarts", str(cfg["restarts"]),
             "--max-iters", str(cfg["max_iters"]),
-            "--f-tol", str(cfg["f_tol"]),
         )
         doc2 = json.loads(out2)
         assert abs(doc2["value_bits"] - doc["value_bits"]) <= 1e-12

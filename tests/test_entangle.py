@@ -159,13 +159,6 @@ class TestKoashiWinter:
             rho = ginibre_state(2, 2, 2, seed=200 + seed)
             assert koashi_winter_residual(rho, 4, CFG) < 1e-4
 
-    def test_projective_route_agrees(self):
-        # for two-qubit rank-2 states the projective discord reaches the
-        # same value
-        for seed in range(3):
-            rho = ginibre_state(2, 2, 2, seed=300 + seed)
-            assert koashi_winter_residual(rho, None, CFG, via="P") < 1e-4
-
     def test_local_unitary_invariance(self):
         rho = ginibre_state(2, 2, 2, seed=6)
         base = koashi_winter_residual(rho, 4, CFG)
@@ -205,5 +198,3 @@ class TestKoashiWinter:
             koashi_winter_residual(ginibre_state(2, 3, 2, seed=9), 4, CFG)
         with pytest.raises(ValueError):
             koashi_winter_residual(ginibre_state(2, 2, 3, seed=10), 4, CFG)
-        with pytest.raises(ValueError):
-            koashi_winter_residual(ginibre_state(2, 2, 2, seed=11), 4, CFG, via="X")

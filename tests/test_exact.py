@@ -122,6 +122,15 @@ class TestAgainstIndependentRoutes:
         assert abs(exact - searched) <= 1e-7
         assert exact <= searched + 1e-12
 
+    def test_projective_route_agrees(self):
+        # the projective search reaches the Koashi-Winter value of a
+        # two-qubit rank-2 state, whose optimal decomposition fits in n_A
+        # elements
+        cfg = OptimizerConfig(restarts=5, max_iters=4000, seed=0)
+        for seed in range(3):
+            rho = ginibre_state(2, 2, 2, seed=300 + seed)
+            assert abs(_discord_P(rho, cfg, search=True).value - kw_rhs(rho)) < 1e-4
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_grid(self, seed):
         rho = ginibre_state(2, 2, 1 + seed % 2, seed=900 + seed)

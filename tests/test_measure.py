@@ -13,7 +13,6 @@ from discordium.measure import (
     RankOnePOVM,
     apply_one_sided,
     branch_ensemble,
-    embed_projective,
     from_neumark,
     neumark_kraus,
     projective_kraus,
@@ -151,7 +150,7 @@ class TestNeumark:
 
     def test_projective_embedding_roundtrip(self):
         pb = random_projective(3, np.random.default_rng(8))
-        povm = from_neumark(embed_projective(pb))
+        povm = from_neumark(NeumarkBasis(pb.dim, pb.dim, pb.basis))
         np.testing.assert_allclose(povm.vectors.T, pb.basis, atol=1e-15)
 
     def test_neumark_kraus_is_complete_and_rectangular(self):
