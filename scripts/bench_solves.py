@@ -15,7 +15,11 @@ benchmark's n_A = 3 ``qudit_mixed`` states at workload seed 0 through
 ``discord_P`` and ``discord_PE(N=4)`` at that workload's restarts.  The
 fixtures, states and restarts are read from ``bench/workloads.py``
 (``UPPER_RANK2``, ``QUDIT_SHAPES``, ``RESTARTS_QUDIT``, ``_sub_seed``), so
-the record always covers the benchmark's inputs.
+the record always covers the benchmark's inputs.  The same fixtures also
+run through the two Bloch-grid oracles at the benchmark's resolutions
+(``GRID_QUBIT_RESOLUTION``, ``GRID_TWO_SIDED_RESOLUTION``); their rows
+count grid points (bases, or basis pairs) as evaluations and take the path
+``grid``.
 Each round runs the old side and then the new, so that a slow spell of
 the host hits both alike.  Values and evaluation counts are deterministic
 and compare across machines; wall times do not.
@@ -45,13 +49,21 @@ def _measure(restarts: int, seed: int) -> list[dict]:
     import time
 
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import QUDIT_SHAPES, RESTARTS_QUDIT, UPPER_RANK2, _sub_seed
+    from workloads import (
+        GRID_QUBIT_RESOLUTION,
+        GRID_TWO_SIDED_RESOLUTION,
+        QUDIT_SHAPES,
+        RESTARTS_QUDIT,
+        UPPER_RANK2,
+        _sub_seed,
+    )
 
     from discordium.cli import load_state
     from discordium.discord import _discord_P, _discord_PE, discord_two_sided
     from discordium.entangle import eof_via_decomposition
     from discordium.optimize import OptimizerConfig
     from discordium.qmat import ginibre_state
+    from discordium.verify import grid_discord_qubit, grid_discord_two_sided
 
     def calls(restarts):
         cfg = OptimizerConfig(restarts=restarts, seed=seed)
@@ -62,10 +74,8 @@ def _measure(restarts: int, seed: int) -> list[dict]:
             "eof(K=4)": lambda rho: eof_via_decomposition(rho.state, 2, 2, K=4, cfg=cfg),
         }
 
-    jobs = [
-        (name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0], restarts, SOLVES)
-        for name in UPPER_RANK2
-    ]
+    fixtures = [(name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0]) for name in UPPER_RANK2]
+    jobs = [(name, rho, restarts, SOLVES) for name, rho in fixtures]
     for i, (n_a, n_b, rank) in enumerate(QUDIT_SHAPES):
         if n_a == 3:  # the qudit_mixed states at workload seed 0
             rho = ginibre_state(n_a, n_b, rank, _sub_seed(0, i))
@@ -88,6 +98,26 @@ def _measure(restarts: int, seed: int) -> list[dict]:
                 # EOF results, and discord results of a library without the
                 # exact path, carry no path: they come from the search
                 "path": getattr(res, "path", "optimizer"),
+                "wall_s": wall,
+            })
+    grids = {  # oracle, resolution, grid points (bases, or basis pairs)
+        "grid_qubit": (grid_discord_qubit, GRID_QUBIT_RESOLUTION, GRID_QUBIT_RESOLUTION**2),
+        "grid_two_sided": (
+            grid_discord_two_sided, GRID_TWO_SIDED_RESOLUTION, GRID_TWO_SIDED_RESOLUTION**4
+        ),
+    }
+    for name, rho in fixtures:
+        for solve, (oracle, resolution, points) in grids.items():
+            t0 = time.perf_counter()
+            value = oracle(rho, resolution)
+            wall = time.perf_counter() - t0
+            rows.append({
+                "fixture": name,
+                "solve": solve,
+                "restarts": 0,
+                "value_hex": value.hex(),
+                "evaluations": points,
+                "path": "grid",
                 "wall_s": wall,
             })
     return rows

@@ -24,8 +24,9 @@ def _xlog2x(lam: np.ndarray) -> np.ndarray:
     A negative lambda (rounding below a zero eigenvalue) counts as 0, so a
     minimizer cannot gain from it; the 1e-300 floor keeps log2 finite at 0
     without masking, which keeps the kernel cheap in the optimizer loops.
-    The log and product run in place because the grid oracles pass 1e5-1e7
-    entries, where each temporary array costs about as much as a pass.
+    The log and product run in place because the grid oracles pass tiles
+    of about 1e5 entries, where each temporary array costs about as much as
+    a pass.
     """
     lam = np.maximum(lam, 0.0)
     out = np.maximum(lam, 1e-300)

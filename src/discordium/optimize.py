@@ -34,6 +34,7 @@ trajectory depends only on (seed, restart index).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,12 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        # NaN passes "< 1" (it compares false) and would stop every restart
+        # after one evaluation; any float count is rejected with it
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,11 @@ class TestMinimize:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
+        for field in ("restarts", "max_iters"):
+            for bad in (float("nan"), 2.5, 3.0, "3"):
+                with pytest.raises(ValueError, match=field):
+                    OptimizerConfig(**{field: bad})
+        assert OptimizerConfig(restarts=np.int64(3), max_iters=np.int32(5)).restarts == 3
 
 
 def _scipy_chain(objective, x0, cfg):
