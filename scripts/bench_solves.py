@@ -19,7 +19,11 @@ the record always covers the benchmark's inputs.  The same fixtures also
 run through the two Bloch-grid oracles at the benchmark's resolutions
 (``GRID_QUBIT_RESOLUTION``, ``GRID_TWO_SIDED_RESOLUTION``); their rows
 count grid points (bases, or basis pairs) as evaluations and take the path
-``grid``.
+``grid``.  Last come the benchmark's four optimizer-free batteries
+(``BATTERIES``, ``BATTERY_TRIALS`` trials at ``--seed``), run in-process
+(``DISCORDIUM_THREADS=1``); their rows carry the worst violation as the
+value, the trial count as evaluations, the failure count and the median
+milliseconds per trial, and take the path ``battery``.
 Each round runs the old side and then the new, so that a slow spell of
 the host hits both alike.  Values and evaluation counts are deterministic
 and compare across machines; wall times do not.
@@ -41,7 +45,8 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOLVES = ("P", "PE(4)", "two_sided", "eof(K=4)")
 QUDIT_SOLVES = ("P", "PE(4)")
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# BLAS threads, and the batteries' process fan-out, pinned to one
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "DISCORDIUM_THREADS")
 
 
 def _measure(restarts: int, seed: int) -> list[dict]:
@@ -50,6 +55,8 @@ def _measure(restarts: int, seed: int) -> list[dict]:
 
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import (
+        BATTERIES,
+        BATTERY_TRIALS,
         GRID_QUBIT_RESOLUTION,
         GRID_TWO_SIDED_RESOLUTION,
         QUDIT_SHAPES,
@@ -63,7 +70,7 @@ def _measure(restarts: int, seed: int) -> list[dict]:
     from discordium.entangle import eof_via_decomposition
     from discordium.optimize import OptimizerConfig
     from discordium.qmat import ginibre_state
-    from discordium.verify import grid_discord_qubit, grid_discord_two_sided
+    from discordium.verify import grid_discord_qubit, grid_discord_two_sided, run_battery
 
     def calls(restarts):
         cfg = OptimizerConfig(restarts=restarts, seed=seed)
@@ -120,6 +127,20 @@ def _measure(restarts: int, seed: int) -> list[dict]:
                 "path": "grid",
                 "wall_s": wall,
             })
+    for name in BATTERIES:
+        t0 = time.perf_counter()
+        report = run_battery(name, BATTERY_TRIALS, seed)
+        wall = time.perf_counter() - t0
+        rows.append({
+            "fixture": name,
+            "solve": "battery",
+            "restarts": 0,
+            "value_hex": report.worst_violation.hex(),
+            "evaluations": report.trials,
+            "path": "battery",
+            "failures": report.failures,
+            "wall_s": wall,
+        })
     return rows
 
 
@@ -140,8 +161,8 @@ def _merge(rounds: list[list[dict]]) -> list[dict]:
     merged = []
     for rows in zip(*rounds):
         first = rows[0]
-        key = ("value_hex", "evaluations", "path")
-        if any(tuple(r[k] for k in key) != tuple(first[k] for k in key) for r in rows):
+        key = ("value_hex", "evaluations", "path", "failures")
+        if any(tuple(r.get(k) for k in key) != tuple(first.get(k) for k in key) for r in rows):
             raise RuntimeError(f"{first['fixture']} {first['solve']}: rounds disagree")
         merged.append(dict(first, wall_s=statistics.median(r["wall_s"] for r in rows)))
     return merged
@@ -168,12 +189,17 @@ def main() -> None:
     after = _merge([a for _, a in rounds])
     rows = []
     for b, a in zip(before, after):
+        fields = ("value_hex", "evaluations", "path", "wall_s")
+        if a["path"] == "battery":
+            for side in (b, a):
+                side["ms_per_trial"] = side["wall_s"] / side["evaluations"] * 1e3
+            fields += ("failures", "ms_per_trial")
         rows.append({
             "fixture": a["fixture"],
             "solve": a["solve"],
             "restarts": a["restarts"],
-            "before": {k: b[k] for k in ("value_hex", "evaluations", "path", "wall_s")},
-            "after": {k: a[k] for k in ("value_hex", "evaluations", "path", "wall_s")},
+            "before": {k: b[k] for k in fields},
+            "after": {k: a[k] for k in fields},
             "abs_value_change": abs(float.fromhex(a["value_hex"]) - float.fromhex(b["value_hex"])),
             # null where the after side ran no evaluations (the exact path)
             "eval_ratio": b["evaluations"] / a["evaluations"] if a["evaluations"] else None,

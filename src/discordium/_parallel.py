@@ -2,12 +2,17 @@
 
 The DISCORDIUM_THREADS environment variable caps how many workers the
 batteries may use (default and upper limit: hardware concurrency).
-Battery trials are seconds-long and independent, so they fan out across
-processes; optimizer restarts are dominated by small-matrix numpy calls
-that CPython threads only slow down, so ``optimize`` runs them in lockstep
-in one process, evaluating each round's points as one numpy stack, and
-does not come here.  Results are always merged by task index, making
-the outcome schedule-independent.
+Battery trials are independent, so they fan out across processes.  An
+optimizer battery's trial runs for about a second, but an oracle
+battery's costs only 0.3-1.5 ms, so there the fan-out pays only once a
+call is large enough to repay the pool's start-up: on a 2-core host the
+four oracle batteries take 0.82 s at 500 trials each with two workers,
+against 1.26 s in one process, but 0.32 s against 0.27 s at 100 trials.
+Optimizer restarts are dominated by small-matrix numpy calls that
+CPython threads only slow down, so ``optimize`` runs them in lockstep in
+one process, evaluating each round's points as one numpy stack, and does
+not come here.  Results are always merged by task index, making the
+outcome schedule-independent.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -278,7 +279,11 @@ def cmd_verify(args) -> int:
     if not (args.all or args.battery):
         raise InputError("choose --battery NAME, --all, or --kw-check FILE")
     names = list(BATTERY_NAMES) if args.all else [args.battery]
-    reports = [run_battery(name, args.trials, args.seed, args.tolerance) for name in names]
+    reports, seconds = [], []
+    for name in names:
+        t0 = time.perf_counter()
+        reports.append(run_battery(name, args.trials, args.seed, args.tolerance))
+        seconds.append(time.perf_counter() - t0)
     if args.json:
         _emit(
             {
@@ -289,17 +294,18 @@ def cmd_verify(args) -> int:
                         "failures": r.failures,
                         "worst_violation": _value_to_json(r.worst_violation),
                         "seeds_of_failures": list(r.seeds_of_failures),
+                        "seconds": s,
                     }
-                    for r in reports
+                    for r, s in zip(reports, seconds)
                 ],
                 "library_version": __version__,
             },
             args,
         )
     else:
-        print(f"{'battery':<32}{'trials':>8}{'failures':>10}  worst violation")
-        for r in reports:
-            print(f"{r.name:<32}{r.trials:>8}{r.failures:>10}  {r.worst_violation:.3g}")
+        print(f"{'battery':<32}{'trials':>8}{'failures':>10}{'seconds':>10}  worst violation")
+        for r, s in zip(reports, seconds):
+            print(f"{r.name:<32}{r.trials:>8}{r.failures:>10}{s:>10.3f}  {r.worst_violation:.3g}")
     return 1 if any(r.failures for r in reports) else 0
 
 

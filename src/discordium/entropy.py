@@ -42,8 +42,13 @@ def entropy_of_spectrum(lam: np.ndarray) -> Bits:
 
 
 def von_neumann(rho: DensityMatrix) -> Bits:
-    """von Neumann entropy -tr(rho log2 rho), in [0, log2 dim]."""
-    return entropy_of_spectrum(np.linalg.eigvalsh((rho.matrix + dag(rho.matrix)) / 2))
+    """von Neumann entropy -tr(rho log2 rho), in [0, log2 dim].
+
+    Reads ``rho.spectrum``, the ``eigvalsh`` of the Hermitian part that
+    ``DensityMatrix`` computed when it checked positivity, so no matrix is
+    diagonalized twice.
+    """
+    return entropy_of_spectrum(rho.spectrum)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> Bits:
@@ -60,7 +65,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> Bits:
     if np.any(weights[null] > RANK_TOL):
         return math.inf
     tr_rho_log_sigma = float(np.sum(weights[~null] * np.log2(mu[~null])))
-    tr_rho_log_rho = float(_xlog2x(np.linalg.eigvalsh(rho.matrix)).sum())
+    tr_rho_log_rho = float(_xlog2x(rho.spectrum).sum())
     return tr_rho_log_rho - tr_rho_log_sigma
 
 

@@ -67,7 +67,8 @@ class KrausSet:
                 raise ValueError(
                     f"operators must share shape (n_out, {self.dim}), got {a.shape}"
                 )
-        total = sum(dag(a) @ a for a in ops)
+        stack = np.stack(ops)
+        total = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
         resid = np.abs(total - np.eye(self.dim)).max()
         if not resid <= HERM_TOL:
             raise ValueError(f"not complete: max |sum A^dag A - I| = {resid:.3e} > {HERM_TOL}")
@@ -198,6 +199,26 @@ def from_neumark(nb: NeumarkBasis) -> RankOnePOVM:
 
 
 # -- measurement action -------------------------------------------------------
+#
+# Every contraction below is a fixed reshape and one or two matrix
+# products: at these sizes (at most 6x6 states, a few Kraus operators) a
+# contraction-order search would cost more than the products themselves.
+
+def _kraus_sum(blocks: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_g (A_g (x) I) rho (A_g (x) I)^dag on the first factor.
+
+    ``blocks`` is rho as (n_A, n, n_A, n) and ``ops`` the (G, n_out, n_A)
+    operator stack; returns the (n_out, n, n_out, n) blocks of the output.
+    """
+    g, n_out, n_a = ops.shape
+    n = blocks.shape[1]
+    # A_g on the row index, all operators in one product: [g, x, i, b, j]
+    left = (ops.reshape(g * n_out, n_a) @ blocks.reshape(n_a, -1)).reshape(g, n_out, n, n_a, n)
+    # conj(A_g)[y, b] on the column index, summed over (g, b) in one product
+    left = left.transpose(1, 2, 4, 0, 3).reshape(n_out * n * n, g * n_a)
+    right = ops.conj().transpose(0, 2, 1).reshape(g * n_a, n_out)
+    return (left @ right).reshape(n_out, n, n, n_out).transpose(0, 1, 3, 2)
+
 
 def apply_one_sided(rho: BipartiteState, m: KrausSet) -> BipartiteState:
     """sum_a (A_a (x) I_B) rho (A_a (x) I_B)^dag.
@@ -208,8 +229,7 @@ def apply_one_sided(rho: BipartiteState, m: KrausSet) -> BipartiteState:
     if m.dim != rho.n_A:
         raise ValueError(f"measurement dim {m.dim} != n_A {rho.n_A}")
     blocks = rho.matrix.reshape(rho.n_A, rho.n_B, rho.n_A, rho.n_B)
-    ops = np.stack(m.operators)
-    out = np.einsum("gxa,aibj,gyb->xiyj", ops, blocks, ops.conj(), optimize=True)
+    out = _kraus_sum(blocks, np.stack(m.operators))
     n_out = m.out_dim
     dm = DensityMatrix(out.reshape(n_out * rho.n_B, n_out * rho.n_B))
     return BipartiteState(n_out, rho.n_B, dm)
@@ -223,17 +243,17 @@ def branch_ensemble(rho: BipartiteState, m: KrausSet) -> ConditionalEnsemble:
     """
     if m.dim != rho.n_A:
         raise ValueError(f"measurement dim {m.dim} != n_A {rho.n_A}")
-    blocks = rho.matrix.reshape(rho.n_A, rho.n_B, rho.n_A, rho.n_B)
-    branches = []
-    for a in m.operators:
-        e = dag(a) @ a
-        # tr_A(A rho A^dag)[i,j] = sum_{ab} (A^dag A)[b,a] rho[(a,i),(b,j)]
-        cond = np.einsum("ba,aibj->ij", e, blocks, optimize=True)
-        p = np.trace(cond).real
-        if p <= 1e-12:
-            continue
-        branches.append((float(p), DensityMatrix(cond / p)))
-    return ConditionalEnsemble(tuple(branches))
+    n_a, n_b = rho.n_A, rho.n_B
+    ops = np.stack(m.operators)
+    effects = ops.conj().transpose(0, 2, 1) @ ops  # A^dag A, one per outcome
+    # tr_A(A rho A^dag)[i,j] = sum_{ab} (A^dag A)[b,a] rho[(a,i),(b,j)]: rho
+    # with (b, a) as rows against the flattened effects, all outcomes at once
+    pairs = rho.matrix.reshape(n_a, n_b, n_a, n_b).transpose(2, 0, 1, 3).reshape(n_a * n_a, -1)
+    conds = (effects.reshape(len(ops), -1) @ pairs).reshape(len(ops), n_b, n_b)
+    probs = np.trace(conds, axis1=1, axis2=2).real
+    return ConditionalEnsemble(tuple(
+        (float(p), DensityMatrix(cond / p)) for p, cond in zip(probs, conds) if p > 1e-12
+    ))
 
 
 def rank_one_refine(m: KrausSet) -> RankOnePOVM:
@@ -283,8 +303,9 @@ def two_sided_apply(
 ) -> BipartiteState:
     """Product measurement: the A extension on side A, the B extension on B.
 
-    Output lives on (N_A', N_B') where the primes count outcomes with
-    nonvanishing restriction; product inputs stay product.
+    Output lives on the two extensions, (N_A, N_B); outcomes whose
+    restriction vanishes are dropped and leave their rows zero.  Product
+    inputs stay product.
     """
     if nb_a.n_A != rho.n_A or nb_b.n_A != rho.n_B:
         raise ValueError(
@@ -293,12 +314,10 @@ def two_sided_apply(
     ka = neumark_kraus(nb_a)
     kb = neumark_kraus(nb_b)
     blocks = rho.matrix.reshape(rho.n_A, rho.n_B, rho.n_A, rho.n_B)
-    ops_a = np.stack(ka.operators)
-    ops_b = np.stack(kb.operators)
-    out = np.einsum(
-        "gxa,hyi,aibj,gzb,hwj->xyzw", ops_a, ops_b, blocks, ops_a.conj(), ops_b.conj(),
-        optimize=True,
-    )
+    # the two sides' channels commute: apply A's, then B's with the
+    # factors swapped
+    out = _kraus_sum(blocks, np.stack(ka.operators)).transpose(1, 0, 3, 2)
+    out = _kraus_sum(out, np.stack(kb.operators)).transpose(1, 0, 3, 2)
     na, nb = ka.out_dim, kb.out_dim
     dm = DensityMatrix(out.reshape(na * nb, na * nb))
     return BipartiteState(na, nb, dm)

@@ -62,6 +62,9 @@ class OptimizerConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # any integer will do, negative ones too: _start_point masks it to 64 bits
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -54,32 +54,39 @@ class DensityMatrix:
 
     Validation happens on construction; violations raise ``ValueError``
     naming the invariant and the measured residual.  ``rank`` is the
-    numerical rank at ``RANK_TOL``.
+    numerical rank at ``RANK_TOL``.  ``spectrum`` is the read-only,
+    nondecreasing ``eigvalsh`` of the Hermitian part (M + M^dag)/2 that the
+    positivity check computes; the matrix is frozen, so entropies read it
+    instead of diagonalizing again.
     """
 
     matrix: np.ndarray
     dim: int = field(init=False)
     rank: int = field(init=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex(self.matrix)
         _require_finite(m, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm = np.abs(m - dag(m)).max()
+        m_dag = dag(m)
+        herm = np.abs(m - m_dag).max()
         if not herm <= HERM_TOL:
             raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e} > {HERM_TOL}")
         tr = abs(np.trace(m) - 1.0)
         if not tr <= HERM_TOL:
             raise ValueError(f"trace not 1: |tr M - 1| = {tr:.3e} > {HERM_TOL}")
-        evals = np.linalg.eigvalsh((m + dag(m)) / 2)
+        evals = np.linalg.eigvalsh((m + m_dag) / 2)
         if not evals[0] >= -HERM_TOL:
             raise ValueError(
                 f"not positive semidefinite: min eigenvalue = {evals[0]:.3e} < -{HERM_TOL}"
             )
+        evals.setflags(write=False)
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "dim", m.shape[0])
         object.__setattr__(self, "rank", int(np.count_nonzero(evals > RANK_TOL)))
+        object.__setattr__(self, "spectrum", evals)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,21 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["batteries"][0]["failures"] == 0
 
+    def test_battery_seconds(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--battery", "nonnegativity", "--trials", "5", "--json",
+        )
+        assert code == 0
+        seconds = json.loads(out)["batteries"][0]["seconds"]
+        assert isinstance(seconds, float) and seconds > 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--battery", "nonnegativity", "--trials", "5",
+        )
+        header, row = out.splitlines()[:2]
+        assert "seconds" in header.split()
+        assert float(row.split()[3]) >= 0
+
     def test_bogus_battery(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--battery", "bogus", "--trials", "5")
         assert code == 2

@@ -1,7 +1,10 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
+
+from discordium.cli import load_state
 
 from discordium.entropy import (
     _xlog2x,
@@ -23,6 +26,8 @@ from discordium.qmat import (
     product_state,
     tensor_product,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 # frozen: 1 - log2(3)/2, hand evaluation of tr(rho log rho) - tr(rho log sigma)
 REL_ENT_HALF_VS_3414 = 0.20751874963942196
@@ -62,6 +67,16 @@ class TestVonNeumann:
         for _ in range(20):
             s = von_neumann(rand_density(4, rng))
             assert 0.0 <= s <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_stored_spectrum_is_bit_identical(self, path):
+        # the formula before the spectrum was kept: a second eigvalsh of
+        # the Hermitian part
+        rho = load_state(str(path))[0]
+        for dm in (rho.state, partial_trace(rho, "A"), partial_trace(rho, "B")):
+            m = dm.matrix
+            old = entropy_of_spectrum(np.linalg.eigvalsh((m + m.conj().T) / 2))
+            assert von_neumann(dm).hex() == old.hex()
 
 
 class TestRelativeEntropy:

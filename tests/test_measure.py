@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discordium.measure as measure_mod
 from discordium.discord import ensemble_loss
 from discordium.measure import (
     KrausSet,
@@ -236,6 +239,116 @@ class TestTwoSided:
                 partial_trace(out, "A").matrix, partial_trace(out, "B").matrix
             )
             np.testing.assert_allclose(out.matrix, rebuilt, atol=1e-10)
+
+
+# Reference contractions for the fixed-product route, written as plain
+# einsum calls without a contraction-order search.
+def _ref_apply(rho, m):
+    ops = np.stack(m.operators)
+    blocks = rho.matrix.reshape(rho.n_A, rho.n_B, rho.n_A, rho.n_B)
+    out = np.einsum("gxa,aibj,gyb->xiyj", ops, blocks, ops.conj())
+    return out.reshape(m.out_dim * rho.n_B, m.out_dim * rho.n_B)
+
+
+def _ref_branches(rho, m):
+    blocks = rho.matrix.reshape(rho.n_A, rho.n_B, rho.n_A, rho.n_B)
+    branches = []
+    for a in m.operators:
+        cond = np.einsum("ba,aibj->ij", a.conj().T @ a, blocks)
+        p = np.trace(cond).real
+        if p > 1e-12:
+            branches.append((p, cond / p))
+    return branches
+
+
+def _ref_two_sided(rho, nb_a, nb_b):
+    ops_a = np.stack(neumark_kraus(nb_a).operators)
+    ops_b = np.stack(neumark_kraus(nb_b).operators)
+    blocks = rho.matrix.reshape(rho.n_A, rho.n_B, rho.n_A, rho.n_B)
+    out = np.einsum(
+        "gxa,hyi,aibj,gzb,hwj->xyzw", ops_a, ops_b, blocks, ops_a.conj(), ops_b.conj()
+    )
+    n = ops_a.shape[1] * ops_b.shape[1]
+    return out.reshape(n, n)
+
+
+_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def _dead_outcome_state(n_a, n_b, rng):
+    """|0><0| (x) sigma: every computational outcome but the first has p = 0."""
+    pure = np.zeros((n_a, n_a))
+    pure[0, 0] = 1.0
+    return product_state(DensityMatrix(pure), ginibre_density(n_b, n_b, rng))
+
+
+class TestFixedContractions:
+    """The reshape-and-matmul route against the plain einsum reference."""
+
+    @staticmethod
+    def _cases(n_a, n_b, rng):
+        for rank in (1, n_a * n_b):
+            rho = ginibre_state(n_a, n_b, rank, seed=int(rng.integers(2**31)))
+            yield rho, random_kraus(n_a, int(rng.integers(2, 5)), rng)
+            yield rho, neumark_kraus(random_neumark(n_a, n_a + 2, rng))
+        yield _dead_outcome_state(n_a, n_b, rng), projective_kraus(comp_basis(n_a))
+
+    @pytest.mark.parametrize("dims", _DIMS)
+    def test_apply_one_sided(self, dims):
+        rng = np.random.default_rng(30)
+        for rho, m in self._cases(*dims, rng):
+            out = apply_one_sided(rho, m)
+            assert (out.n_A, out.n_B) == (m.out_dim, rho.n_B)
+            np.testing.assert_allclose(out.matrix, _ref_apply(rho, m), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", _DIMS)
+    def test_branch_ensemble(self, dims):
+        rng = np.random.default_rng(31)
+        for rho, m in self._cases(*dims, rng):
+            got = branch_ensemble(rho, m).branches
+            ref = _ref_branches(rho, m)
+            assert len(got) == len(ref)
+            for (p, dm), (p_ref, cond_ref) in zip(got, ref):
+                assert abs(p - p_ref) <= 1e-13
+                np.testing.assert_allclose(dm.matrix, cond_ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", _DIMS)
+    def test_zero_probability_outcome_dropped(self, dims):
+        n_a, n_b = dims
+        rho = _dead_outcome_state(n_a, n_b, np.random.default_rng(32))
+        (p, dm), = branch_ensemble(rho, projective_kraus(comp_basis(n_a))).branches
+        assert abs(p - 1.0) <= 1e-13
+        np.testing.assert_allclose(dm.matrix, partial_trace(rho, "B").matrix, atol=1e-13)
+
+    @pytest.mark.parametrize("dims", _DIMS)
+    def test_two_sided_apply(self, dims):
+        n_a, n_b = dims
+        rng = np.random.default_rng(33)
+        extension = np.eye(n_b + 1)  # its last outcome restricts to zero and is dropped
+        sides = [
+            (random_neumark(n_a, n_a, rng), random_neumark(n_b, n_b, rng)),
+            (random_neumark(n_a, n_a + 2, rng), random_neumark(n_b, n_b + 1, rng)),
+            (random_neumark(n_a, n_a + 1, rng), NeumarkBasis(n_b, n_b + 1, extension)),
+        ]
+        for rank in (1, n_a * n_b):
+            rho = ginibre_state(n_a, n_b, rank, seed=int(rng.integers(2**31)))
+            for nb_a, nb_b in sides:
+                out = two_sided_apply(rho, nb_a, nb_b)
+                np.testing.assert_allclose(
+                    out.matrix, _ref_two_sided(rho, nb_a, nb_b), rtol=0, atol=1e-13
+                )
+
+    def test_measure_imports_nothing_from_discord(self):
+        # the slow route is the search's independent oracle
+        tree = ast.parse(pathlib.Path(measure_mod.__file__).read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+        assert not any(mod.rsplit(".", 1)[-1] == "discord" for mod in modules), modules
+        assert not any(mod.startswith("discordium.discord") for mod in modules), modules
 
 
 class TestMeasurementIdentities:

@@ -236,6 +236,17 @@ class TestMinimize:
                 with pytest.raises(ValueError, match=field):
                     OptimizerConfig(**{field: bad})
         assert OptimizerConfig(restarts=np.int64(3), max_iters=np.int32(5)).restarts == 3
+        for bad in (float("nan"), 2.5, 3.0, "x", None):
+            with pytest.raises(ValueError, match="seed"):
+                OptimizerConfig(seed=bad)
+        for good in (np.int64(7), np.uint64(2**64 - 1), -1, -(2**70)):
+            assert OptimizerConfig(seed=good).seed == good
+        # a negative seed is masked to 64 bits and starts like its unsigned twin
+        def run(seed):
+            cfg = OptimizerConfig(restarts=2, max_iters=50, seed=seed)
+            return minimize_vector(lambda x: float(np.sum((x - 1) ** 2)), 2, cfg).restart_values
+
+        assert run(-1) == run(2**64 - 1)
 
 
 def _scipy_chain(objective, x0, cfg):

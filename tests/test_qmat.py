@@ -268,3 +268,29 @@ class TestInvariantValidation:
         rho = bell_state()
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+
+class TestSpectrum:
+    def test_equals_eigvalsh_of_hermitian_part(self):
+        rng = np.random.default_rng(40)
+        for dim in (2, 3, 4, 6):
+            rho = rand_density(dim, rng)
+            # drift of 1e-12 in the anti-Hermitian part, within HERM_TOL
+            drift = 1e-12 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            m = rho.matrix + drift - drift.conj().T
+            dm = DensityMatrix(m)
+            expected = np.linalg.eigvalsh((m + m.conj().T) / 2)
+            assert np.array_equal(dm.spectrum, expected)
+            assert dm.rank == np.count_nonzero(expected > 1e-9)
+
+    def test_read_only(self):
+        dm = bell_state().state
+        assert not dm.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            dm.spectrum[0] = 1.0
+
+    def test_not_in_repr_or_init(self):
+        a = DensityMatrix(np.eye(2) / 2)
+        assert "spectrum" not in repr(a)
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(2) / 2, spectrum=np.ones(2))
