@@ -39,7 +39,7 @@ from .qmat import (
     BipartiteState, DensityMatrix, bell_state, classical_state, ginibre_density,
     ginibre_state, partial_trace, product_state, werner,
 )
-from .verify import BATTERY_NAMES, BATTERY_TOLERANCES, run_battery
+from .verify import _PE_CFG, BATTERY_NAMES, BATTERY_TOLERANCES, run_battery
 
 
 class InputError(Exception):
@@ -197,9 +197,15 @@ def _optimizer_config(args) -> OptimizerConfig:
 def cmd_discord(args) -> int:
     rho, label = load_state(args.state)
     cfg = _optimizer_config(args)
-    n = args.N
+    n, n_b = args.N, args.N_B
+    if n is not None and args.variant == "P":
+        raise InputError("--N does not apply to --variant P")
+    if n_b is not None and args.variant != "two-sided":
+        raise InputError(f"--N-B applies only to --variant two-sided, not {args.variant}")
     if n is not None and n < rho.n_A:
         raise InputError(f"--N {n} is below n_A = {rho.n_A}")
+    if n_b is not None and n_b < rho.n_B:
+        raise InputError(f"--N-B {n_b} is below n_B = {rho.n_B}")
     if args.variant == "P":
         res = discord_P(rho, cfg)
     elif args.variant == "R":
@@ -207,9 +213,6 @@ def cmd_discord(args) -> int:
     elif args.variant == "PE":
         res = discord_PE(rho, n, cfg)
     else:  # two-sided
-        n_b = args.N_B
-        if n_b is not None and n_b < rho.n_B:
-            raise InputError(f"--N-B {n_b} is below n_B = {rho.n_B}")
         res = discord_two_sided(rho, n, n_b, cfg)
     if args.table:
         _emit_table(
@@ -391,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--kw-check", dest="kw_check", default=None, metavar="STATE")
     p.add_argument("--N", type=int, default=4, help="extension dimension for --kw-check")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=4000)
+    # --kw-check solves as the koashi_winter battery does
+    p.add_argument("--restarts", type=int, default=_PE_CFG.restarts)
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=_PE_CFG.max_iters)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_verify)

@@ -49,18 +49,20 @@ class KrausSet:
     """A one-sided general measurement {A_a} on an n_A-dimensional system.
 
     ``dim`` is the input dimension n_A; operators are (n_out x n_A) with a
-    common n_out >= n_A.  Completeness sum A^dag A = I_{n_A} is validated.
+    common n_out >= n_A, stored as read-only views of one (G, n_out, n_A)
+    stack.  Completeness sum A^dag A = I_{n_A} is validated, and
+    ``effects`` keeps the read-only (G, n_A, n_A) stack of A_a^dag A_a
+    that the check computes.
     """
 
     dim: int
     operators: tuple[np.ndarray, ...]
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(_as_complex(a) for a in self.operators)
         if not ops:
             raise ValueError("KrausSet needs at least one operator")
-        for a in ops:
-            _require_finite(a, "Kraus operator")
         n_out = ops[0].shape[0]
         for a in ops:
             if a.ndim != 2 or a.shape != (n_out, self.dim):
@@ -68,11 +70,15 @@ class KrausSet:
                     f"operators must share shape (n_out, {self.dim}), got {a.shape}"
                 )
         stack = np.stack(ops)
-        total = (stack.conj().transpose(0, 2, 1) @ stack).sum(axis=0)
-        resid = np.abs(total - np.eye(self.dim)).max()
+        _require_finite(stack, "Kraus operator")
+        effects = stack.conj().transpose(0, 2, 1) @ stack
+        resid = np.abs(effects.sum(axis=0) - np.eye(self.dim)).max()
         if not resid <= HERM_TOL:
             raise ValueError(f"not complete: max |sum A^dag A - I| = {resid:.3e} > {HERM_TOL}")
-        object.__setattr__(self, "operators", tuple(_frozen(a) for a in ops))
+        stack.setflags(write=False)
+        effects.setflags(write=False)
+        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "effects", effects)
 
     @property
     def out_dim(self) -> int:
@@ -156,19 +162,33 @@ class ConditionalEnsemble:
 
 # -- constructors between families --------------------------------------------
 
+def _rank_one(out: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The (G, n_out, n_A) stack of |out_g><vec_g| from (G, n_out) and
+    (G, n_A) rows."""
+    return out[:, :, None] * vec.conj()[:, None, :]
+
+
+def _neumark_columns(nb: NeumarkBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The extension basis columns, and their restrictions to the first n_A
+    entries, one per row: (K, N) and (K, n_A), without the columns whose
+    restriction has squared norm at or below ``ZERO_OUTCOME_TOL``."""
+    cols = nb.extension_basis.T
+    restricted = cols[:, : nb.n_A]
+    norms = np.einsum("ga,ga->g", restricted.conj(), restricted).real
+    keep = norms > ZERO_OUTCOME_TOL
+    return cols[keep], restricted[keep]
+
+
 def projective_kraus(pb: ProjectiveBasis) -> KrausSet:
     """Kraus operators |a><a| for each basis column."""
-    cols = [pb.basis[:, k] for k in range(pb.dim)]
-    return KrausSet(pb.dim, tuple(np.outer(c, c.conj()) for c in cols))
+    cols = pb.basis.T
+    return KrausSet(pb.dim, _rank_one(cols, cols))
 
 
 def rank_one_kraus(povm: RankOnePOVM) -> KrausSet:
     """Kraus operators |g><g| / sqrt(p_g)."""
-    ops = [
-        np.outer(v, v.conj()) / np.sqrt(w)
-        for v, w in zip(povm.vectors, povm.weights)
-    ]
-    return KrausSet(povm.dim, tuple(ops))
+    v = povm.vectors
+    return KrausSet(povm.dim, _rank_one(v, v) / np.sqrt(povm.weights)[:, None, None])
 
 
 def neumark_kraus(nb: NeumarkBasis) -> KrausSet:
@@ -177,14 +197,8 @@ def neumark_kraus(nb: NeumarkBasis) -> KrausSet:
     Outcomes whose restriction vanishes are dropped; they never fire on a
     state supported in H_A.
     """
-    ops = []
-    for k in range(nb.N):
-        col = nb.extension_basis[:, k]
-        restricted = col[: nb.n_A]
-        if np.vdot(restricted, restricted).real <= ZERO_OUTCOME_TOL:
-            continue
-        ops.append(np.outer(col, restricted.conj()))
-    return KrausSet(nb.n_A, tuple(ops))
+    cols, restricted = _neumark_columns(nb)
+    return KrausSet(nb.n_A, _rank_one(cols, restricted))
 
 
 def from_neumark(nb: NeumarkBasis) -> RankOnePOVM:
@@ -193,9 +207,7 @@ def from_neumark(nb: NeumarkBasis) -> RankOnePOVM:
     Zero restrictions are dropped; completeness of the rest follows from
     unitarity of the extension basis.
     """
-    vecs = nb.extension_basis[: nb.n_A, :].T  # (N, n_A), one vector per row
-    norms = np.einsum("ga,ga->g", vecs.conj(), vecs).real
-    return RankOnePOVM(nb.n_A, vecs[norms > ZERO_OUTCOME_TOL])
+    return RankOnePOVM(nb.n_A, _neumark_columns(nb)[1])
 
 
 # -- measurement action -------------------------------------------------------
@@ -244,12 +256,10 @@ def branch_ensemble(rho: BipartiteState, m: KrausSet) -> ConditionalEnsemble:
     if m.dim != rho.n_A:
         raise ValueError(f"measurement dim {m.dim} != n_A {rho.n_A}")
     n_a, n_b = rho.n_A, rho.n_B
-    ops = np.stack(m.operators)
-    effects = ops.conj().transpose(0, 2, 1) @ ops  # A^dag A, one per outcome
     # tr_A(A rho A^dag)[i,j] = sum_{ab} (A^dag A)[b,a] rho[(a,i),(b,j)]: rho
     # with (b, a) as rows against the flattened effects, all outcomes at once
     pairs = rho.matrix.reshape(n_a, n_b, n_a, n_b).transpose(2, 0, 1, 3).reshape(n_a * n_a, -1)
-    conds = (effects.reshape(len(ops), -1) @ pairs).reshape(len(ops), n_b, n_b)
+    conds = (m.effects.reshape(len(m.effects), -1) @ pairs).reshape(-1, n_b, n_b)
     probs = np.trace(conds, axis1=1, axis2=2).real
     return ConditionalEnsemble(tuple(
         (float(p), DensityMatrix(cond / p)) for p, cond in zip(probs, conds) if p > 1e-12
@@ -259,24 +269,22 @@ def branch_ensemble(rho: BipartiteState, m: KrausSet) -> ConditionalEnsemble:
 def rank_one_refine(m: KrausSet) -> RankOnePOVM:
     """Split each effect A^dag A into its rank-1 eigenpieces.
 
-    The emitted vectors are sqrt(lambda_j) v_j from the eigendecomposition
-    of each A_a^dag A_a; their union is again complete.  Degenerate
-    eigenbases are fixed by the eigensolver's ascending order plus a phase
-    convention (lowest nonzero component made real positive) so refinement
-    of the same set is reproducible.
+    The emitted vectors are sqrt(lambda_j) v_j from one stacked
+    eigendecomposition of the effects A_a^dag A_a, effect by effect, with
+    pieces of lambda_j <= ``ZERO_OUTCOME_TOL`` dropped; their union is
+    again complete.  Degenerate eigenbases are fixed by the eigensolver's
+    ascending order plus a phase convention (first component above 1e-8
+    made real positive) so refinement of the same set is reproducible.
     """
-    vectors = []
-    for a in m.operators:
-        evals, evecs = eigh(dag(a) @ a)
-        for j in range(len(evals)):
-            lam = evals[j]
-            if lam <= ZERO_OUTCOME_TOL:
-                continue
-            v = evecs[:, j]
-            nz = np.flatnonzero(np.abs(v) > 1e-8)[0]
-            v = v * (np.abs(v[nz]) / v[nz])
-            vectors.append(np.sqrt(lam) * v)
-    return RankOnePOVM(m.dim, np.array(vectors))
+    evals, evecs = eigh(m.effects)
+    # row (a, j) is eigenvector j of effect a
+    vecs = evecs.transpose(0, 2, 1).reshape(-1, m.dim)
+    lam = evals.ravel()
+    keep = lam > ZERO_OUTCOME_TOL
+    vecs, lam = vecs[keep], lam[keep]
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs) > 1e-8, axis=1)]
+    vecs = vecs * (np.abs(lead) / lead)[:, None]
+    return RankOnePOVM(m.dim, np.sqrt(lam)[:, None] * vecs)
 
 
 def randomizing_measurement(n_A: int) -> KrausSet:
@@ -346,4 +354,4 @@ def random_kraus(n_A: int, n_outcomes: int, rng: np.random.Generator) -> KrausSe
         (n_outcomes * n_A, n_A)
     )
     q, _ = np.linalg.qr(g)  # isometry, q^dag q = I_{n_A}
-    return KrausSet(n_A, tuple(q[k * n_A : (k + 1) * n_A, :] for k in range(n_outcomes)))
+    return KrausSet(n_A, q.reshape(n_outcomes, n_A, n_A))

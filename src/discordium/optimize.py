@@ -273,12 +273,6 @@ def _pointwise(objective):
     return lambda points: np.array([objective(x) for x in points], dtype=float)
 
 
-def _local_search(objective, x0: np.ndarray, cfg: OptimizerConfig):
-    """One restart from x0 under a per-point objective:
-    ``(value, point, evaluations, converged)``."""
-    return _lockstep([_restart(x0, cfg)], _pointwise(objective))[0]
-
-
 class StackedObjective:
     """A per-point objective ``f(x) -> float`` backed by a stacked kernel
     ``f(X[m, n_params]) -> values[m]``.

@@ -1,5 +1,6 @@
 """Complex-matrix core: density matrices, tensor products, partial traces,
-purification, Schmidt decomposition and standard state generators.
+a stackable Hermitian eigensolver, purification and standard state
+generators.
 
 Conventions used throughout the package:
 
@@ -132,20 +133,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Biorthogonal form sum_i sqrt(p_i) |left_i> (x) |right_i>.
-
-    ``coefficients`` are the nonincreasing positive sqrt(p_i); ``m`` is the
-    Schmidt rank at ``RANK_TOL`` (applied to p_i, not sqrt(p_i)).
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray   # (m, n_A) rows
-    right_vectors: np.ndarray  # (m, n_B) rows
-    m: int
-
-
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product in the package's A-major ordering."""
     return np.kron(_as_complex(a), _as_complex(b))
@@ -174,19 +161,23 @@ def partial_trace(rho: BipartiteState | PureState, keep: str) -> DensityMatrix:
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them
+    with shape (..., n, n).
 
     Symmetrizes ``(M + M^dag)/2`` first, so 1e-12-scale drift in the input
-    cannot leak into downstream entropies.  Eigenvalues come back
-    nondecreasing; the columns of the returned matrix are the eigenvectors.
+    cannot leak into downstream entropies; a stack is rejected if any
+    member is not Hermitian.  Eigenvalues come back nondecreasing; the
+    columns of each returned matrix are the eigenvectors.  Each member of a
+    stack gets the same bits as it would alone.
     """
     m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"eigh needs a square matrix, got shape {m.shape}")
-    herm = np.abs(m - dag(m)).max()
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"eigh needs square matrices, got shape {m.shape}")
+    m_dag = m.conj().swapaxes(-1, -2)
+    herm = np.abs(m - m_dag).max()
     if not herm <= HERM_TOL:
         raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e} > {HERM_TOL}")
-    return np.linalg.eigh((m + dag(m)) / 2)
+    return np.linalg.eigh((m + m_dag) / 2)
 
 
 def purify(rho: DensityMatrix) -> PureState:
@@ -205,24 +196,6 @@ def purify(rho: DensityMatrix) -> PureState:
     amps = amps.ravel()
     amps = amps / np.linalg.norm(amps)  # absorb the dropped tail
     return PureState(dim_pair=(rho.dim, rank), amplitudes=amps)
-
-
-def schmidt(psi: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the amplitude matrix."""
-    n_A, n_B = psi.dim_pair
-    u, s, vh = np.linalg.svd(psi.amplitudes.reshape(n_A, n_B), full_matrices=False)
-    m = int(np.count_nonzero(s**2 > RANK_TOL))
-    return SchmidtDecomposition(
-        coefficients=s[:m].copy(),
-        left_vectors=u[:, :m].T.copy(),
-        right_vectors=vh[:m, :].copy(),
-        m=m,
-    )
-
-
-def schmidt_reassemble(sd: SchmidtDecomposition) -> np.ndarray:
-    """Rebuild the amplitude vector sum_i c_i |left_i> (x) |right_i>."""
-    return np.einsum("i,ia,ib->ab", sd.coefficients, sd.left_vectors, sd.right_vectors).ravel()
 
 
 # -- state generators ---------------------------------------------------------

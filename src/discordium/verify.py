@@ -46,14 +46,11 @@ from .measure import (
     random_kraus,
     random_neumark,
     random_projective,
-    random_unitary,
     randomizing_measurement,
 )
 from .optimize import OptimizerConfig
 from .qmat import (
     BipartiteState,
-    classical_state,
-    ginibre_density,
     ginibre_state,
     partial_trace,
 )
@@ -194,14 +191,6 @@ def _random_state(rng: np.random.Generator, dims=((2, 2), (2, 3), (3, 2))) -> Bi
     n_a, n_b = dims[rng.integers(len(dims))]
     rank = int(rng.integers(1, n_a * n_b + 1))
     return ginibre_state(n_a, n_b, rank, int(rng.integers(2**63 - 1)))
-
-
-def random_classical(n_A: int, n_B: int, rng: np.random.Generator) -> BipartiteState:
-    """Random zero-discord state: random basis, probabilities and branches."""
-    probs = rng.dirichlet(np.ones(n_A))
-    basis = random_unitary(n_A, rng)
-    branches = [ginibre_density(n_B, n_B, rng) for _ in range(n_A)]
-    return classical_state(probs, branches, basis)
 
 
 def _random_measurement(rho: BipartiteState, rng: np.random.Generator):

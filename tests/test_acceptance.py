@@ -49,9 +49,10 @@ from discordium.qmat import (
 from discordium.verify import (
     grid_discord_qubit,
     grid_discord_two_sided,
-    random_classical,
     run_battery,
 )
+
+from random_states import random_classical
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

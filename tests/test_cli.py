@@ -6,6 +6,7 @@ import pytest
 
 from discordium.cli import (
     InputError,
+    build_parser,
     deserialize_measurement,
     load_state,
     main,
@@ -22,7 +23,9 @@ from discordium.measure import (
     random_projective,
 )
 from discordium.qmat import bell_state, ginibre_state
-from discordium.verify import random_classical
+from discordium.verify import _PE_CFG
+
+from random_states import random_classical
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -168,6 +171,21 @@ class TestDiscordCommand:
         )
         assert code == 2
         assert "below n_A" in err
+
+    def test_n_under_p_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "discord", str(FIXTURES / "bell.json"), "--variant", "P", "--N", "4"
+        )
+        assert code == 2
+        assert "--N does not apply" in err
+
+    @pytest.mark.parametrize("variant", ["P", "R", "PE"])
+    def test_n_b_outside_two_sided_rejected(self, capsys, variant):
+        code, _, err = run_cli(
+            capsys, "discord", str(FIXTURES / "bell.json"), "--variant", variant, "--N-B", "3"
+        )
+        assert code == 2
+        assert "--N-B" in err
 
     @pytest.mark.parametrize(
         "flag, value, name",
@@ -330,6 +348,10 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "koashi_winter_residual" in out
+
+    def test_kw_check_defaults_are_the_battery_config(self):
+        args = build_parser().parse_args(["verify", "--kw-check", "x.json"])
+        assert (args.restarts, args.max_iters) == (_PE_CFG.restarts, _PE_CFG.max_iters)
 
     def test_no_selection_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify")

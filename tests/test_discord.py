@@ -43,7 +43,9 @@ from discordium.qmat import (
     product_state,
     werner,
 )
-from discordium.verify import grid_discord_qubit, grid_discord_two_sided, random_classical
+from discordium.verify import grid_discord_qubit, grid_discord_two_sided
+
+from random_states import random_classical
 
 FAST = OptimizerConfig(restarts=6, max_iters=1200, seed=0)
 FAST_PE = OptimizerConfig(restarts=5, max_iters=4000, seed=0)

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import discordium.measure as measure_mod
 from discordium.discord import ensemble_loss
 from discordium.measure import (
+    ZERO_OUTCOME_TOL,
     KrausSet,
     NeumarkBasis,
     ProjectiveBasis,
@@ -32,6 +34,7 @@ from discordium.qmat import (
     DensityMatrix,
     bell_state,
     classical_state,
+    eigh,
     ginibre_density,
     ginibre_state,
     partial_trace,
@@ -162,6 +165,16 @@ class TestNeumark:
         assert m.dim == 2 and m.out_dim == 4
 
 
+def _refinable_sets():
+    # random sets, and degenerate effects whose eigenbases the solver
+    # picks: I, and the Weyl set's I/9
+    rng = np.random.default_rng(12)
+    sets = [KrausSet(n, (np.eye(n),)) for n in (2, 3)] + [randomizing_measurement(3)]
+    sets += [random_kraus(n, k, rng) for n in (2, 3) for k in (1, 2, 4)]
+    sets += [neumark_kraus(random_neumark(n, n + 2, rng)) for n in (2, 3)]
+    return sets
+
+
 class TestRefinement:
     def test_projective_unchanged(self):
         povm = rank_one_refine(projective_kraus(comp_basis(2)))
@@ -188,6 +201,81 @@ class TestRefinement:
         a = rank_one_refine(m)
         b = rank_one_refine(m)
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_pieces_sum_to_each_effect(self):
+        for m in _refinable_sets():
+            povm = rank_one_refine(m)
+            effects = [a.conj().T @ a for a in m.operators]
+            # effect-major: the pieces of effect a are its nonzero eigenpieces
+            counts = [np.count_nonzero(np.linalg.eigvalsh(e) > ZERO_OUTCOME_TOL) for e in effects]
+            assert sum(counts) == povm.n_outcomes
+            pieces = np.split(povm.vectors, np.cumsum(counts)[:-1])
+            for e, v in zip(effects, pieces):
+                assert np.abs(v.T @ v.conj() - e).max() <= 1e-12
+
+    def test_phase_convention(self):
+        for m in _refinable_sets():
+            for v in rank_one_refine(m).vectors:
+                u = v / np.linalg.norm(v)
+                lead = u[np.flatnonzero(np.abs(u) > 1e-8)[0]]
+                assert lead.real > 0
+                assert abs(lead.imag) <= 1e-15
+
+
+class TestLoopReferences:
+    """The stacked constructors and refinement give the same bits as the
+    per-operator loops they replaced."""
+
+    def test_constructors(self):
+        rng = np.random.default_rng(15)
+        for k in range(200):
+            n = int(rng.integers(2, 5))
+            N = n + int(rng.integers(0, 4))
+            pb = random_projective(n, rng)
+            want = [np.outer(c, c.conj()) for c in pb.basis.T]
+            assert np.array_equal(projective_kraus(pb).operators, want)
+            # every other basis has restrictions that vanish exactly
+            nb = random_neumark(n, N, rng) if k % 2 else NeumarkBasis(n, N, np.eye(N))
+            cols = [c for c in nb.extension_basis.T if np.vdot(c[:n], c[:n]).real > ZERO_OUTCOME_TOL]
+            want = [np.outer(c, c[:n].conj()) for c in cols]
+            assert np.array_equal(neumark_kraus(nb).operators, want)
+            povm = from_neumark(nb)
+            assert np.array_equal(povm.vectors, [c[:n] for c in cols])
+            want = [np.outer(v, v.conj()) / np.sqrt(w) for v, w in zip(povm.vectors, povm.weights)]
+            assert np.array_equal(rank_one_kraus(povm).operators, want)
+
+    def test_refine(self):
+        for m in _refinable_sets():
+            want = []
+            for a in m.operators:
+                evals, evecs = eigh(a.conj().T @ a)
+                for lam, v in zip(evals, evecs.T):
+                    if lam > ZERO_OUTCOME_TOL:
+                        lead = v[np.flatnonzero(np.abs(v) > 1e-8)[0]]
+                        want.append(np.sqrt(lam) * (v * (np.abs(lead) / lead)))
+            assert np.array_equal(rank_one_refine(m).vectors, want)
+
+
+class TestKrausSet:
+    def test_effects(self):
+        m = random_kraus(3, 4, np.random.default_rng(13))
+        want = np.stack([a.conj().T @ a for a in m.operators])
+        assert np.array_equal(m.effects, want)
+
+    def test_read_only(self):
+        m = random_kraus(2, 3, np.random.default_rng(14))
+        for a in (m.effects, *m.operators):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            m.effects = m.effects.copy()
+
+    def test_effects_not_in_repr_or_init(self):
+        m = KrausSet(2, (np.eye(2),))
+        assert "effects" not in repr(m)
+        with pytest.raises(TypeError):
+            KrausSet(2, (np.eye(2),), effects=np.eye(2)[None])
 
 
 class TestRandomizing:

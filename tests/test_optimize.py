@@ -24,7 +24,9 @@ from discordium.optimize import (
     X_TOL,
     OptimizerConfig,
     StackedObjective,
-    _local_search,
+    _lockstep,
+    _pointwise,
+    _restart,
     minimize_vector,
     unitary_from_vector,
 )
@@ -251,7 +253,7 @@ class TestMinimize:
 
 def _scipy_chain(objective, x0, cfg):
     """The re-anchored chain over ``scipy.optimize.minimize`` that
-    ``_local_search`` replaced, kept as its reference."""
+    ``_restart`` replaced, kept as its reference."""
     minimize = pytest.importorskip("scipy.optimize").minimize
     x, fx = x0, objective(x0)
     evals, iters_left, converged = 1, cfg.max_iters, False
@@ -336,7 +338,7 @@ class TestScipyReference:
     )
     def test_bit_identical(self, objective, x0, cfg):
         want = _scipy_chain(objective, x0, cfg)
-        got = _local_search(objective, x0, cfg)
+        got = _lockstep([_restart(x0, cfg)], _pointwise(objective))[0]
         assert got[0].hex() == want[0].hex()
         assert got[1].tobytes() == np.asarray(want[1]).tobytes()
         assert got[2:] == want[2:]

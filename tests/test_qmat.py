@@ -14,8 +14,6 @@ from discordium.qmat import (
     partial_trace,
     product_state,
     purify,
-    schmidt,
-    schmidt_reassemble,
     tensor_product,
     werner,
 )
@@ -113,6 +111,24 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_each_member(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4):
+            g = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+            h = g + g.conj().transpose(0, 2, 1)
+            evals, evecs = eigh(h)
+            for k in range(5):
+                want_vals, want_vecs = eigh(h[k])
+                assert evals[k].tobytes() == want_vals.tobytes()
+                assert evecs[k].tobytes() == want_vecs.tobytes()
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        h = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh(h)
+        with pytest.raises(ValueError, match="square"):
+            eigh(np.ones((3, 2, 3)))
+
 
 class TestPurify:
     def test_pure_input(self):
@@ -124,8 +140,8 @@ class TestPurify:
 
     def test_maximally_mixed_qubit(self):
         out = purify(DensityMatrix(np.eye(2) / 2))
-        sd = schmidt(out)
-        np.testing.assert_allclose(sd.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
+        coefficients = np.linalg.svd(out.amplitudes.reshape(out.dim_pair), compute_uv=False)
+        np.testing.assert_allclose(coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_roundtrip_rank2(self):
         rho = ginibre_state(2, 2, 2, seed=9).state
@@ -149,38 +165,6 @@ class TestPurify:
                 partial_trace(out, "A").matrix, rho.matrix, atol=1e-10
             )
             count += 1
-
-
-class TestSchmidt:
-    def test_bell(self):
-        psi = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-        sd = schmidt(psi)
-        assert sd.m == 2
-        np.testing.assert_allclose(sd.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_product_pure(self):
-        a = np.array([1, 1j]) / np.sqrt(2)
-        b = np.array([0, 1, 0], dtype=complex)
-        psi = PureState((2, 3), np.kron(a, b))
-        sd = schmidt(psi)
-        assert sd.m == 1
-        np.testing.assert_allclose(sd.coefficients, [1.0], atol=1e-12)
-
-    def test_normalization_and_reassembly(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            psi = PureState((2, 4), v / np.linalg.norm(v))
-            sd = schmidt(psi)
-            assert abs((sd.coefficients**2).sum() - 1) < 1e-10
-            # orthonormality of both vector sets
-            for vecs in (sd.left_vectors, sd.right_vectors):
-                gram = vecs.conj() @ vecs.T
-                np.testing.assert_allclose(gram, np.eye(sd.m), atol=1e-10)
-            rebuilt = schmidt_reassemble(sd)
-            phase = np.vdot(rebuilt, psi.amplitudes)
-            phase /= abs(phase)
-            np.testing.assert_allclose(rebuilt * phase, psi.amplitudes, atol=1e-10)
 
 
 class TestGenerators:

@@ -14,9 +14,10 @@ from discordium.verify import (
     BATTERY_TOLERANCES,
     grid_discord_qubit,
     grid_discord_two_sided,
-    random_classical,
     run_battery,
 )
+
+from random_states import random_classical
 
 
 class TestGridOracle:
