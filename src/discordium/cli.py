@@ -39,7 +39,7 @@ from .qmat import (
     BipartiteState, DensityMatrix, bell_state, classical_state, ginibre_density,
     ginibre_state, partial_trace, product_state, werner,
 )
-from .verify import _PE_CFG, BATTERY_NAMES, BATTERY_TOLERANCES, run_battery
+from .verify import _KW_N, _PE_CFG, BATTERY_NAMES, BATTERY_TOLERANCES, run_battery
 
 
 class InputError(Exception):
@@ -214,6 +214,10 @@ def cmd_discord(args) -> int:
         res = discord_PE(rho, n, cfg)
     else:  # two-sided
         res = discord_two_sided(rho, n, n_b, cfg)
+    if res.path == "optimizer" and cfg.restarts > 1 and res.outcome.agreeing_restarts == 1:
+        print(f"warning: only 1 of {cfg.restarts} restarts reached the best value; "
+              "the search may have missed the minimum (try more --restarts or --max-iters)",
+              file=sys.stderr)
     if args.table:
         _emit_table(
             [
@@ -257,10 +261,21 @@ def cmd_eof(args) -> int:
     return 0
 
 
+def _kw_check_solve(args) -> tuple[int, OptimizerConfig]:
+    """The extension dimension and search config of --kw-check: the
+    koashi_winter battery's unless a flag overrides one."""
+    cfg = OptimizerConfig(
+        restarts=_PE_CFG.restarts if args.restarts is None else args.restarts,
+        max_iters=_PE_CFG.max_iters if args.max_iters is None else args.max_iters,
+        seed=args.seed,
+    )
+    return (_KW_N if args.N is None else args.N), cfg
+
+
 def cmd_verify(args) -> int:
     if args.kw_check:
         rho, label = load_state(args.kw_check)
-        residual = koashi_winter_residual(rho, args.N, _optimizer_config(args))
+        residual = koashi_winter_residual(rho, *_kw_check_solve(args))
         tol = BATTERY_TOLERANCES["koashi_winter"] if args.tolerance is None else args.tolerance
         ok = residual <= tol
         if args.json:
@@ -281,6 +296,10 @@ def cmd_verify(args) -> int:
         return 0 if ok else 1
     if not (args.all or args.battery):
         raise InputError("choose --battery NAME, --all, or --kw-check FILE")
+    for flag, value in (("--N", args.N), ("--restarts", args.restarts),
+                        ("--max-iters", args.max_iters)):
+        if value is not None:
+            raise InputError(f"{flag} applies only to --kw-check; a battery sets its own")
     names = list(BATTERY_NAMES) if args.all else [args.battery]
     reports, seconds = [], []
     for name in names:
@@ -393,10 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--kw-check", dest="kw_check", default=None, metavar="STATE")
-    p.add_argument("--N", type=int, default=4, help="extension dimension for --kw-check")
-    # --kw-check solves as the koashi_winter battery does
-    p.add_argument("--restarts", type=int, default=_PE_CFG.restarts)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=_PE_CFG.max_iters)
+    # --kw-check only; it solves as the koashi_winter battery does unless told otherwise
+    p.add_argument("--N", type=int, default=None,
+                   help=f"extension dimension for --kw-check (default {_KW_N})")
+    p.add_argument("--restarts", type=int, default=None,
+                   help=f"--kw-check restarts (default {_PE_CFG.restarts})")
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=None,
+                   help=f"--kw-check iteration budget (default {_PE_CFG.max_iters})")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_verify)

@@ -112,35 +112,48 @@ def _projector_weights(vecs: np.ndarray) -> np.ndarray:
     ``weights @ pair`` contracts rho with |g><g| on A."""
     n = vecs.shape[-1]
     w = vecs.conj()[..., :, None] * vecs[..., None, :]
-    return w.reshape(*vecs.shape[:-1], n * n)
+    return w.reshape(vecs.shape[:-1] + (n * n,))
 
 
 def _conditional_blocks(pair: np.ndarray, vecs: np.ndarray, n_B: int) -> np.ndarray:
     """Unnormalized conditional B states <g|rho|g> for each vector row,
     over any leading stack axes of ``vecs``."""
-    return (_projector_weights(vecs) @ pair).reshape(*vecs.shape[:-1], n_B, n_B)
+    return (_projector_weights(vecs) @ pair).reshape(vecs.shape[:-1] + (n_B, n_B))
 
 
 def _branch_entropy_contrib(conds: np.ndarray) -> np.ndarray:
-    """Per-matrix p * S(cond / p) for a stack of unnormalized conditionals.
+    """Per-matrix p * S(cond / p) for a stack of unnormalized conditionals,
+    as x log x of the trace p minus x log x summed over the spectrum.
 
     Qubit-sized conditionals use the closed-form 2x2 spectrum; larger ones
-    go through the batched eigensolver.
+    go through the batched eigensolver.  Either way the traces and the
+    eigenvalues share one buffer and one ``_xlog2x`` pass.
     """
     if conds.shape[-1] == 2:
         a, d = conds[..., 0, 0], conds[..., 1, 1]
-        t = (a + d).real
+        buf = np.empty((3,) + a.shape)  # the trace, then the two eigenvalues
+        t = np.add(a.real, d.real, out=buf[0])
         det = (a * d - conds[..., 0, 1] * conds[..., 1, 0]).real
-        disc = np.sqrt(np.maximum(t * t - 4 * det, 0))
-        return _xlog2x(t) - (_xlog2x((t - disc) / 2) + _xlog2x((t + disc) / 2))
+        disc = t * t
+        disc -= 4 * det
+        np.sqrt(np.maximum(disc, 0, out=disc), out=disc)
+        np.subtract(t, disc, out=buf[1])
+        np.add(t, disc, out=buf[2])
+        buf[1:] /= 2
+        x = _xlog2x(buf, overwrite=True)
+        return x[0] - (x[1] + x[2])
     lam = np.linalg.eigvalsh(conds)
-    return _xlog2x(lam.sum(axis=-1)) - _xlog2x(lam).sum(axis=-1)
+    buf = np.empty(lam.shape[:-1] + (lam.shape[-1] + 1,))  # the eigenvalues, then the trace
+    buf[..., :-1] = lam
+    np.add.reduce(lam, -1, out=buf[..., -1])
+    x = _xlog2x(buf, overwrite=True)
+    return x[..., -1] - np.add.reduce(x[..., :-1], -1)
 
 
 def _ensemble_term(conds: np.ndarray) -> np.ndarray:
     """sum_g p_g S(cond_g / p_g) from unnormalized conditionals
     (..., g, n_B, n_B): one sum per leading stack index."""
-    return _branch_entropy_contrib(conds).sum(axis=-1)
+    return np.add.reduce(_branch_entropy_contrib(conds), -1)
 
 
 def _classical_joint(pair_a: np.ndarray, vecs_a, vecs_b) -> np.ndarray:
@@ -340,9 +353,11 @@ def discord_two_sided(
         # post-measurement state is diagonal in the product extension basis,
         # so the bracket reduces to classical entropies of the outcome table:
         # its two marginals' sum x log x, minus the table's
-        t = _xlog2x(np.concatenate([q.sum(axis=2), q.sum(axis=1), q.reshape(len(x), -1)], axis=1))
+        add = np.add.reduce
+        table = np.concatenate([add(q, 2), add(q, 1), q.reshape(len(x), -1)], axis=1)
+        t = _xlog2x(table, overwrite=True)
         k = N_A + N_B
-        return const + (t[:, :N_A].sum(axis=1) + t[:, N_A:k].sum(axis=1) - t[:, k:].sum(axis=1))
+        return const + (add(t[:, :N_A], 1) + add(t[:, N_A:k], 1) - add(t[:, k:], 1))
 
     out = minimize_vector(StackedObjective(objective), k_a + _chart_size(N_B, n_B), cfg)
     nb_a = NeumarkBasis(n_A, N_A, unitary_from_vector(out.best_params[:k_a], N_A))

@@ -17,7 +17,7 @@ from .qmat import RANK_TOL, BipartiteState, DensityMatrix, dag, eigh, partial_tr
 Bits = float
 
 
-def _xlog2x(lam: np.ndarray) -> np.ndarray:
+def _xlog2x(lam: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Elementwise lambda * log2(lambda) with the 0 log 0 = 0 convention,
     for an array of at least one dimension.
 
@@ -26,9 +26,10 @@ def _xlog2x(lam: np.ndarray) -> np.ndarray:
     without masking, which keeps the kernel cheap in the optimizer loops.
     The log and product run in place because the grid oracles pass tiles
     of about 1e5 entries, where each temporary array costs about as much as
-    a pass.
+    a pass.  For the same reason ``overwrite=True`` clips ``lam`` itself in
+    place: pass it for a buffer built for this pass and not read again.
     """
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(lam, 0.0, out=lam) if overwrite else np.maximum(lam, 0.0)
     out = np.maximum(lam, 1e-300)
     np.log2(out, out=out)
     out *= lam

@@ -13,11 +13,15 @@ degeneracies, so the search is derivative-free: multi-restart adaptive
 Nelder-Mead (Gao and Han, Comput. Optim. Appl. 51, 259 (2012)), each
 restart re-anchoring its simplex at the incumbent until the improvement
 drops below F_TOL.  The steps follow scipy's ``adaptive=True`` variant in
-its floating-point order, so trajectories match it bit for bit.  A search
-is set by :class:`OptimizerConfig` (restarts, max_iters, seed); its
-tolerances are the constants X_TOL and F_TOL.  Everything is
-deterministic for a fixed seed; the first restart always starts at the
-zero vector (the identity).
+its floating-point order, so trajectories match it bit for bit.  A run
+stops once every simplex value is within F_TOL of the best and every
+vertex within X_TOL of it; the value gap is tested first, as
+fsim[-1] - fsim[0] of the sorted values, because it is two scalar reads
+and fails on most iterations, and the vertex spread only when it passes.
+The decision is scipy's either way.  A search is set by
+:class:`OptimizerConfig` (restarts, max_iters, seed); its tolerances are
+the constants X_TOL and F_TOL.  Everything is deterministic for a fixed
+seed; the first restart always starts at the zero vector (the identity).
 
 All restarts run in lockstep.  Each is a generator that yields the points
 it needs next and is sent their values; every round, ``_lockstep`` gathers
@@ -95,16 +99,45 @@ class OptimizationOutcome:
         return sum(abs(v - self.best_value) <= AGREE_TOL for v in self.restart_values)
 
 
-# Flat positions in an n x n matrix of the diagonal, the strict upper
-# triangle (row by row) and its mirror, per n.
-_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Per (n, n_params): for each (re, im) slot of the flattened n x n
+# generator, the angle it reads and the sign it takes (conj below the
+# diagonal), so that one gather and one product build a whole stack.
+_LAYOUT_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _flat_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n not in _INDEX_CACHE:
+def _generator_layout(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    if (n, size) not in _LAYOUT_CACHE:
+        k = size - n * (n - 1)  # diagonal angles before the upper triangle
         rows, cols = np.triu_indices(n, k=1)
-        _INDEX_CACHE[n] = (np.arange(n) * (n + 1), rows * n + cols, cols * n + rows)
-    return _INDEX_CACHE[n]
+        upper, lower = rows * n + cols, cols * n + rows
+        re = k + 2 * np.arange(len(rows))
+        gather = np.zeros((n * n, 2), dtype=np.intp)
+        sign = np.zeros((n * n, 2))
+        gather[upper] = gather[lower] = np.stack([re, re + 1], axis=1)
+        sign[upper] = 1.0, 1.0
+        sign[lower] = 1.0, -1.0
+        if k:
+            gather[:: n + 1, 0] = np.arange(n)
+            sign[:: n + 1, 0] = 1.0
+        _LAYOUT_CACHE[n, size] = gather.ravel(), sign.ravel()
+    return _LAYOUT_CACHE[n, size]
+
+
+def _generators(params: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n, n) Hermitian generators of an (m, n_params) stack of
+    angles in either chart of :func:`unitary_from_vector`: every entry
+    is its angle, negated for the imaginary part below the diagonal."""
+    m, size = params.shape
+    if not size:  # the 1 x 1 projective chart has no angles
+        return np.zeros((m, n, n), dtype=np.complex128)
+    gather, sign = _generator_layout(n, size)
+    h = params.take(gather, axis=1)
+    h *= sign
+    # a sign-0 slot holds 0 * angle, which is -0.0 for a negative angle;
+    # zero the diagonal's imaginary parts (and, in the projective chart,
+    # its real parts) outright, as a zero-initialized generator has them
+    h.reshape(m, n * n, 2)[:, :: n + 1, 0 if size < n * n else 1 :] = 0.0
+    return h.view(np.complex128).reshape(m, n, n)
 
 
 def unitary_from_vector(params: np.ndarray, n: int) -> np.ndarray:
@@ -117,7 +150,8 @@ def unitary_from_vector(params: np.ndarray, n: int) -> np.ndarray:
     projective chart: the same upper triangle under a zero diagonal.  For
     n = 2 that generator is H = [[0, z], [z*, 0]] with H^2 = |z|^2 I, so
     exp(iH) = cos|z| I + i (sin|z| / |z|) H, with no eigensolver call;
-    every other generator goes through one batched ``eigh``.  Each row's
+    every other generator is built by one gather of the angles and goes
+    through one batched ``eigh``.  Each row's
     unitary is the same, bit for bit, whatever else shares its stack.
     """
     return _unitaries(params[None], n)[0] if params.ndim == 1 else _unitaries(params, n)
@@ -126,31 +160,20 @@ def unitary_from_vector(params: np.ndarray, n: int) -> np.ndarray:
 def _unitaries(params: np.ndarray, n: int) -> np.ndarray:
     m, size = params.shape
     full = n * n
-    if size == full:
-        k = n  # angles before the upper triangle
-    elif size == full - n:
-        k = 0
-        if n == 2:
-            re, im = params[:, 0], params[:, 1]
-            r = np.hypot(re, im)
-            s = np.sin(r) / np.where(r, r, 1.0)  # z = 0 where r = 0
-            s_re, s_im = s * re, s * im
-            # (re, im) parts of u00 = u11 = cos r, u01 = i s z, u10 = i s z*
-            u = np.zeros((m, 4, 2))
-            u[:, 0, 0] = u[:, 3, 0] = np.cos(r)
-            u[:, 1, 0], u[:, 2, 0] = -s_im, s_im
-            u[:, 1, 1] = u[:, 2, 1] = s_re
-            return u.view(np.complex128).reshape(m, 2, 2)
-    else:
+    if size not in (full, full - n):
         raise ValueError(f"need {full} or {full - n} parameters, got {size}")
-    diag, upper, lower = _flat_indices(n)
-    h = np.zeros((m, full), dtype=np.complex128)
-    if k:
-        h[:, diag] = params[:, :k]
-    off = params[:, k::2] + 1j * params[:, k + 1 :: 2]
-    h[:, upper] = off
-    h[:, lower] = off.conj()
-    evals, evecs = np.linalg.eigh(h.reshape(m, n, n))
+    if n == 2 and size == 2:  # the qubit projective chart
+        re, im = params[:, 0], params[:, 1]
+        r = np.hypot(re, im)
+        s = np.sin(r) / np.where(r, r, 1.0)  # z = 0 where r = 0
+        s_re, s_im = s * re, s * im
+        # (re, im) parts of u00 = u11 = cos r, u01 = i s z, u10 = i s z*
+        u = np.zeros((m, 4, 2))
+        u[:, 0, 0] = u[:, 3, 0] = np.cos(r)
+        u[:, 1, 0], u[:, 2, 0] = -s_im, s_im
+        u[:, 1, 1] = u[:, 2, 1] = s_re
+        return u.view(np.complex128).reshape(m, 2, 2)
+    evals, evecs = np.linalg.eigh(_generators(params, n))
     return (evecs * np.exp(1j * evals)[:, None, :]) @ evecs.conj().swapaxes(1, 2)
 
 
@@ -193,21 +216,18 @@ def _restart(x0: np.ndarray, cfg: OptimizerConfig):
         evals += n + 1
         # argsort is not stable, so the start simplex is sorted twice, as
         # scipy does: a tie may swap on the second pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+        order = fsim.argsort()
+        sim, fsim = sim.take(order, 0), fsim[order]
         it, success = 1, False
         while True:
-            order = np.argsort(fsim)
-            sim, fsim = sim[order], fsim[order]
+            order = fsim.argsort()
+            sim, fsim = sim.take(order, 0), fsim[order]
             if it >= run_iters:
                 break
-            if (
-                np.abs(sim[1:] - sim[0]).max() <= X_TOL
-                and np.abs(fsim[0] - fsim[1:]).max() <= F_TOL
-            ):
+            if _stop(sim, fsim):
                 success = True
                 break
-            xbar = sim[:-1].sum(0) / n
+            xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
             fxr = (yield xr[None])[0]
             evals += 1
@@ -246,6 +266,14 @@ def _restart(x0: np.ndarray, cfg: OptimizerConfig):
     return float(fx), x, evals, converged
 
 
+def _stop(sim: np.ndarray, fsim: np.ndarray) -> bool:
+    """Whether a run has converged, on its simplex sorted by value.  The
+    cheap value gap goes first: on a sorted ``fsim`` the largest
+    |fsim[0] - fsim[i]| is fsim[-1] - fsim[0], and a NaN (sorted last) or
+    an inf fails both forms."""
+    return fsim[-1] - fsim[0] <= F_TOL and np.abs(sim[1:] - sim[0]).max() <= X_TOL
+
+
 def _lockstep(restarts: list, stacked) -> list[tuple]:
     """Advance every restart generator in step: each round gathers the
     points all live restarts wait on, evaluates them with one call of
@@ -253,18 +281,18 @@ def _lockstep(restarts: list, stacked) -> list[tuple]:
     A restart sees the same values in the same order as it would alone,
     so its trajectory does not depend on the others."""
     results: list = [None] * len(restarts)
-    pending = {k: next(gen) for k, gen in enumerate(restarts)}
-    while pending:
-        values = stacked(np.concatenate(list(pending.values())))
-        start = 0
-        for k, points in list(pending.items()):
+    live = [(k, gen, next(gen)) for k, gen in enumerate(restarts)]
+    while live:
+        values = stacked(np.concatenate([points for _, _, points in live]))
+        waiting, start = [], 0
+        for k, gen, points in live:
             stop = start + len(points)
             try:
-                pending[k] = restarts[k].send(values[start:stop])
+                waiting.append((k, gen, gen.send(values[start:stop])))
             except StopIteration as done:
                 results[k] = done.value
-                del pending[k]
             start = stop
+        live = waiting
     return results
 
 

@@ -75,6 +75,8 @@ SATURATION_TOL = 1e-9
 # search=True also where the closed-form path applies.
 _P_CFG = OptimizerConfig(restarts=8, max_iters=1000)
 _PE_CFG = OptimizerConfig(restarts=10, max_iters=4000)
+# Extension dimension of the koashi_winter battery's searched D_PE.
+_KW_N = 4
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,7 @@ def _trial_relative_entropy_monotonicity(rng: np.random.Generator) -> float:
 def _trial_koashi_winter(rng: np.random.Generator) -> float:
     rho = ginibre_state(2, 2, 2, int(rng.integers(2**63 - 1)))
     seed = int(rng.integers(2**31))
-    return koashi_winter_residual(rho, 4, replace(_PE_CFG, seed=seed))
+    return koashi_winter_residual(rho, _KW_N, replace(_PE_CFG, seed=seed))
 
 
 def _run_trial(name: str, trial_seed: int) -> float:

@@ -1,11 +1,13 @@
 import json
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from discordium.cli import (
     InputError,
+    _kw_check_solve,
     build_parser,
     deserialize_measurement,
     load_state,
@@ -23,7 +25,8 @@ from discordium.measure import (
     random_projective,
 )
 from discordium.qmat import bell_state, ginibre_state
-from discordium.verify import _PE_CFG
+from discordium.optimize import OptimizerConfig
+from discordium.verify import _KW_N, _PE_CFG
 
 from random_states import random_classical
 
@@ -164,6 +167,30 @@ class TestDiscordCommand:
         code_b, out_b, _ = run_cli(capsys, *args)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_low_restart_agreement_warns(self, tmp_path, capsys):
+        # 20 iterations leave the two restarts of a qutrit search apart
+        path = tmp_path / "qutrit.json"
+        save_state(ginibre_state(3, 3, 3, seed=1), path)
+        args = ("discord", str(path), "--restarts", "2", "--max-iters", "20")
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)  # the report is unchanged: no extra field
+        assert doc["agreeing_restarts"] == 1 and doc["path"] == "optimizer"
+        assert "agreeing" not in doc["config"] and "warning" not in out
+        assert err.count("warning:") == 1 and "1 of 2 restarts" in err
+        code, out, err = run_cli(capsys, *args, "--table")
+        assert code == 0 and err.count("warning:") == 1
+
+    def test_agreeing_restarts_do_not_warn(self, capsys):
+        for extra in (("--restarts", "4"), ("--restarts", "1", "--max-iters", "20")):
+            code, out, err = run_cli(
+                capsys, "discord", str(FIXTURES / "werner_p075.json"), "--max-iters", "600", *extra
+            )
+            assert code == 0 and err == ""
+        # the exact path has one value and no restarts to agree
+        code, _, err = run_cli(capsys, "discord", str(FIXTURES / "rank2_00.json"))
+        assert code == 0 and err == ""
 
     def test_n_below_dim_rejected(self, capsys):
         code, _, err = run_cli(
@@ -350,8 +377,21 @@ class TestVerifyCommand:
         assert "koashi_winter_residual" in out
 
     def test_kw_check_defaults_are_the_battery_config(self):
-        args = build_parser().parse_args(["verify", "--kw-check", "x.json"])
-        assert (args.restarts, args.max_iters) == (_PE_CFG.restarts, _PE_CFG.max_iters)
+        args = build_parser().parse_args(["verify", "--kw-check", "x.json", "--seed", "3"])
+        N, cfg = _kw_check_solve(args)
+        assert (N, cfg) == (_KW_N, replace(_PE_CFG, seed=3))
+        args = build_parser().parse_args(
+            ["verify", "--kw-check", "x.json", "--N", "5", "--restarts", "2", "--max-iters", "9"]
+        )
+        assert _kw_check_solve(args) == (5, OptimizerConfig(restarts=2, max_iters=9, seed=0))
+
+    @pytest.mark.parametrize("flag", ["--N", "--restarts", "--max-iters"])
+    @pytest.mark.parametrize("selection", [("--battery", "nonnegativity"), ("--all",)])
+    def test_kw_check_flags_rejected_for_batteries(self, capsys, flag, selection):
+        code, out, err = run_cli(capsys, "verify", *selection, "--trials", "1", flag, "3")
+        assert code == 2
+        assert flag in err and "--kw-check" in err
+        assert out == ""
 
     def test_no_selection_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify")

@@ -6,6 +6,7 @@ import pytest
 from discordium.cli import load_state
 from discordium.discord import (
     DiscordResult,
+    _branch_entropy_contrib,
     _discord_P,
     _discord_PE,
     default_extension_dim,
@@ -20,7 +21,7 @@ from discordium.discord import (
     two_sided_loss,
 )
 from discordium.entangle import eof_via_decomposition
-from discordium.entropy import mutual_information
+from discordium.entropy import _xlog2x, mutual_information
 from discordium.measure import (
     KrausSet,
     NeumarkBasis,
@@ -283,6 +284,50 @@ class TestDiscordResult:
         assert abs(via_neumark - via_povm) < 1e-10
 
 
+def _three_pass_contrib(conds):
+    """p S(cond / p) with one x log x pass per term: the trace, then each
+    eigenvalue (the 2x2 closed form, or eigvalsh)."""
+    if conds.shape[-1] == 2:
+        a, d = conds[..., 0, 0], conds[..., 1, 1]
+        t = (a + d).real
+        det = (a * d - conds[..., 0, 1] * conds[..., 1, 0]).real
+        disc = np.sqrt(np.maximum(t * t - 4 * det, 0))
+        return _xlog2x(t) - (_xlog2x((t - disc) / 2) + _xlog2x((t + disc) / 2))
+    lam = np.linalg.eigvalsh(conds)
+    return _xlog2x(lam.sum(axis=-1)) - _xlog2x(lam).sum(axis=-1)
+
+
+class TestBranchEntropyKernel:
+    """The one-pass kernel, traces and eigenvalues in one buffer, equals the
+    three-pass formula byte for byte."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            ((7,), None),
+            ((6, 4), None),  # a lockstep round: points x outcomes
+            ((3, 5, 4), None),
+            ((6, 4), 1),  # rank-deficient: zero eigenvalues, some rounded below 0
+            ((1 << 15,), None),  # a grid tile: 2^15 conditionals, about 1e5 entries
+            ((1 << 15,), 1),
+        ],
+    )
+    def test_bytes_equal_three_pass(self, n, shape, rank):
+        rng = np.random.default_rng(n + len(shape))
+        g = rng.normal(size=shape + (n, rank or n)) + 1j * rng.normal(size=shape + (n, rank or n))
+        conds = g @ g.conj().swapaxes(-1, -2)
+        conds[..., :1, :, :] *= 1e-12  # conditionals of tiny weight
+        got = _branch_entropy_contrib(conds)
+        assert got.shape == shape
+        assert got.tobytes() == _three_pass_contrib(conds).tobytes()
+
+    def test_zero_conditionals(self):
+        for n in (2, 3):
+            conds = np.zeros((4, 3, n, n), dtype=np.complex128)
+            assert _branch_entropy_contrib(conds).tobytes() == _three_pass_contrib(conds).tobytes()
+
+
 class TestPinnedTrajectories:
     """The extension and EOF searches keep the full U(N) chart; their
     values and evaluation counts are pinned bit for bit, so a change to the
@@ -290,11 +335,24 @@ class TestPinnedTrajectories:
     were recorded before the projective chart and the kernel trims landed;
     the PE figures were re-recorded when the entropy kernel stopped
     crediting an eigenvalue that rounds below zero, a change the EOF
-    trajectory never met, so its pin held.  Both on x86_64 with numpy 2.4
-    and OpenBLAS; another BLAS build may round differently and need them
-    re-recorded."""
+    trajectory never met, so its pin held.  The qutrit pins run the 3x3
+    projective chart and PE(4) through the batched ``eigvalsh`` branch of the
+    entropy kernel, which the two-qubit pins never reach.  All on x86_64
+    with numpy 2.4 and OpenBLAS; another BLAS build may round differently
+    and need them re-recorded."""
 
     CFG = OptimizerConfig(restarts=2, seed=0)
+    QUTRIT = ginibre_state(3, 3, 3, 1)
+
+    def test_discord_p_qutrit(self):
+        res = _discord_P(self.QUTRIT, self.CFG, search=True)
+        assert res.value.hex() == "0x1.48ea98751e963p-1"
+        assert res.outcome.evaluations == 4269
+
+    def test_discord_pe_qutrit(self):
+        res = _discord_PE(self.QUTRIT, 4, self.CFG, search=True)
+        assert res.value.hex() == "0x1.48ea9b46b6a11p-1"
+        assert res.outcome.evaluations == 5626
 
     def test_discord_pe(self):
         res = _discord_PE(load_state(str(RANK2_00))[0], 4, self.CFG, search=True)

@@ -49,6 +49,14 @@ class TestXlog2x:
         lam = np.concatenate([rng.random(500), 1e-15 * rng.random(500), [0.0]])
         assert np.array_equal(_xlog2x(lam), lam * np.log2(np.maximum(lam, 1e-300)))
 
+    def test_overwrite_clips_in_place_to_the_same_bytes(self):
+        rng = np.random.default_rng(1)
+        lam = np.concatenate([rng.normal(0, 1, 500), [0.0, -0.0, -1e-17, 1e-310]])
+        want = _xlog2x(lam)
+        buf = lam.copy()
+        assert _xlog2x(buf, overwrite=True).tobytes() == want.tobytes()
+        assert buf.tobytes() == np.maximum(lam, 0.0).tobytes()
+
 
 class TestVonNeumann:
     def test_maximally_mixed(self):

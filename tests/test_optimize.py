@@ -24,9 +24,11 @@ from discordium.optimize import (
     X_TOL,
     OptimizerConfig,
     StackedObjective,
+    _generators,
     _lockstep,
     _pointwise,
     _restart,
+    _stop,
     minimize_vector,
     unitary_from_vector,
 )
@@ -112,6 +114,92 @@ class TestStackedUnitary:
             assert np.array_equal(unitary_from_vector(params[:m], n), rows[:m])
 
 
+def _reference_generators(params, n):
+    """The generator stack written entry by entry: the diagonal angles,
+    then each upper-triangle (re, im) pair as a complex number and its
+    conjugate below the diagonal."""
+    m, size = params.shape
+    k = n if size == n * n else 0
+    h = np.zeros((m, n, n), dtype=np.complex128)
+    rows, cols = np.triu_indices(n, k=1)
+    for i in range(k):
+        h[:, i, i] = params[:, i]
+    off = params[:, k::2] + 1j * params[:, k + 1 :: 2]
+    h[:, rows, cols] = off
+    h[:, cols, rows] = off.conj()
+    return h
+
+
+class TestGenerators:
+    """The one-gather generator equals the entry-by-entry one byte for byte,
+    signed zeros included, so every unitary the search builds is unchanged."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("chart", ["full", "projective"])
+    def test_bytes_equal_reference(self, n, chart):
+        size = n * n if chart == "full" else n * (n - 1)
+        params = np.random.default_rng(10 + n).uniform(-np.pi, np.pi, (9, size))
+        params[0] = 0.0  # restart 0 starts at the identity
+        params[1, ::2] = 0.0  # zeros beside nonzero angles: signed zeros must match
+        params[2, 1::2] = 0.0
+        params[3] = -np.abs(params[3])  # all negative: the diagonal must stay +0.0
+        got = _generators(params, n)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _reference_generators(params, n).tobytes()
+
+
+def _reference_stop(sim, fsim):
+    return bool(
+        np.abs(sim[1:] - sim[0]).max() <= X_TOL and np.abs(fsim[0] - fsim[1:]).max() <= F_TOL
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestStopTest:
+    """``_stop`` tests the value gap first, as fsim[-1] - fsim[0] of the
+    sorted values; it decides as the two-part max test does."""
+
+    @pytest.mark.parametrize(
+        "fsim",
+        [
+            [1.0, 1.0, 1.0],  # ties
+            [1.0, 1.0 + F_TOL / 2, 1.0 + F_TOL / 2],
+            [1.0, 1.0, 1.0 + F_TOL],  # the gap exactly at F_TOL
+            [1.0, 1.0, 1.0 + 2 * F_TOL],
+            [0.0, 1e-300, 5e-10],
+            [-1.0, -1.0 + 1e-10, np.nan],  # NaN sorts last
+            [np.nan, np.nan, np.nan],
+            [1.0, 1.0, np.inf],
+            [np.inf, np.inf, np.inf],
+            [-np.inf, -np.inf, 1.0],
+            [-np.inf, -np.inf, -np.inf],
+            [-np.inf, 0.0, np.inf],
+        ],
+    )
+    def test_same_decision_as_max_test(self, fsim):
+        fsim = np.asarray(fsim)
+        fsim = fsim[fsim.argsort()]
+        assert np.array_equal(np.sort(fsim), fsim, equal_nan=True)
+        gap = np.abs(fsim[0] - fsim[1:]).max()
+        if np.isfinite(gap):
+            assert fsim[-1] - fsim[0] == gap
+        rng = np.random.default_rng(0)
+        for spread in (0.0, X_TOL / 2, X_TOL, 2 * X_TOL):
+            sim = 1.0 + spread * rng.uniform(0, 1, (len(fsim), 4))
+            assert _stop(sim, fsim) == _reference_stop(sim, fsim)
+        sim[1, 2] = np.nan
+        assert _stop(sim, fsim) == _reference_stop(sim, fsim)
+
+    def test_random_sorted_values(self):
+        rng = np.random.default_rng(1)
+        sim = np.zeros((8, 3))
+        for _ in range(2000):
+            fsim = np.round(rng.normal(0, 2e-9, 8), 10)  # many ties near F_TOL
+            fsim[rng.uniform(size=8) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+            fsim = fsim[fsim.argsort()]
+            assert _stop(sim, fsim) == _reference_stop(sim, fsim)
+
+
 def _capture(monkeypatch, module, solve):
     """The objective and parameter count a solve hands minimize_vector."""
     seen = []
@@ -169,6 +257,50 @@ class TestLockstep:
         six = minimize_vector(objective, n_params, OptimizerConfig(restarts=6, max_iters=300))
         assert [v.hex() for v in three.restart_values] == [v.hex() for v in six.restart_values[:3]]
         assert three.restart_evaluations == six.restart_evaluations[:3]
+
+
+# unitary_from_vector calls a solve makes, given its evaluations: P and PE
+# rebuild the best basis once, two-sided builds two unitaries per
+# evaluation and rebuilds both, EOF never rebuilds
+_UNITARY_CALLS = {
+    "P-2x2": lambda e: e + 1,
+    "P-3x3": lambda e: e + 1,
+    "PE(4)": lambda e: e + 1,
+    "two-sided": lambda e: 2 * e + 2,
+    "EOF(K=4)": lambda e: e,
+}
+
+
+class TestTracerContract:
+    """A layer tracer replaces ``minimize_vector`` and ``unitary_from_vector``
+    where the discord and entangle modules bound them, hands the search a
+    plain per-point objective, and checks that each solve builds as many
+    unitaries as its evaluation count implies.  Every family keeps that
+    contract and, under it, the values and counts of its stacked run."""
+
+    def test_import_sites(self):
+        for module in (discord_mod, entangle_mod):
+            for name in ("minimize_vector", "unitary_from_vector"):
+                assert getattr(module, name) is getattr(discordium.optimize, name)
+        assert entangle_mod._ensemble_term is discord_mod._ensemble_term
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_per_point_objective(self, monkeypatch, family):
+        module, solve = _FAMILIES[family]
+        cfg = OptimizerConfig(restarts=2, max_iters=300, seed=5)
+        stacked = solve(cfg).outcome
+        calls = []
+        build, search = module.unitary_from_vector, module.minimize_vector
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(module, "unitary_from_vector", counted)
+        monkeypatch.setattr(module, "minimize_vector", lambda f, *a: search(lambda x: f(x), *a))
+        plain = solve(cfg).outcome
+        _same_outcome(plain, stacked)
+        assert len(calls) == _UNITARY_CALLS[family](plain.evaluations)
 
 
 class TestMinimize:
