@@ -10,7 +10,13 @@ to one thread.  For every fixture below and every solve (``discord_P``,
 it records the value (as ``float.hex``), the evaluation count, the path the
 solve took and the median wall time over ``--repeats`` rounds.  P and PE
 run the search (``search=True``): these rank-2 fixtures would otherwise
-take the closed-form path, which measures no search.  Beside them run the
+take the closed-form path, which measures no search.  The structured
+fixtures (``STRUCTURED``: Bell, classical, product and the five Werner
+states) run through the public ``discord_P``, ``discord_PE(N=4)`` and
+``discord_two_sided`` instead, as the ``[default]`` rows: these time the
+path each call takes by default, closed form or search, and name the
+closed form (null on the search, and on a library without the field).
+Beside them run the
 benchmark's n_A = 3 ``qudit_mixed`` states at workload seed 0 through
 ``discord_P`` and ``discord_PE(N=4)`` at that workload's restarts.  The
 fixtures, states and restarts are read from ``bench/workloads.py``
@@ -45,6 +51,11 @@ import numpy as np
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOLVES = ("P", "PE(4)", "two_sided", "eof(K=4)")
 QUDIT_SOLVES = ("P", "PE(4)")
+DEFAULT_SOLVES = ("P[default]", "PE(4)[default]", "two_sided[default]")
+STRUCTURED = (
+    "bell", "classical", "product",
+    "werner_p000", "werner_p025", "werner_p050", "werner_p075", "werner_p100",
+)
 # BLAS threads, and the batteries' process fan-out, pinned to one
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "DISCORDIUM_THREADS")
 
@@ -66,7 +77,13 @@ def _measure(restarts: int, seed: int) -> list[dict]:
     )
 
     from discordium.cli import load_state
-    from discordium.discord import _discord_P, _discord_PE, discord_two_sided
+    from discordium.discord import (
+        _discord_P,
+        _discord_PE,
+        discord_P,
+        discord_PE,
+        discord_two_sided,
+    )
     from discordium.entangle import eof_via_decomposition
     from discordium.optimize import OptimizerConfig
     from discordium.qmat import ginibre_state
@@ -79,10 +96,17 @@ def _measure(restarts: int, seed: int) -> list[dict]:
             "PE(4)": lambda rho: _discord_PE(rho, 4, cfg, search=True),
             "two_sided": lambda rho: discord_two_sided(rho, cfg=cfg),
             "eof(K=4)": lambda rho: eof_via_decomposition(rho.state, 2, 2, K=4, cfg=cfg),
+            "P[default]": lambda rho: discord_P(rho, cfg),
+            "PE(4)[default]": lambda rho: discord_PE(rho, 4, cfg),
+            "two_sided[default]": lambda rho: discord_two_sided(rho, cfg=cfg),
         }
 
-    fixtures = [(name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0]) for name in UPPER_RANK2]
+    def fixture(name):
+        return name, load_state(str(ROOT / "fixtures" / f"{name}.json"))[0]
+
+    fixtures = [fixture(name) for name in UPPER_RANK2]
     jobs = [(name, rho, restarts, SOLVES) for name, rho in fixtures]
+    jobs += [(*fixture(name), restarts, DEFAULT_SOLVES) for name in STRUCTURED]
     for i, (n_a, n_b, rank) in enumerate(QUDIT_SHAPES):
         if n_a == 3:  # the qudit_mixed states at workload seed 0
             rho = ginibre_state(n_a, n_b, rank, _sub_seed(0, i))
@@ -105,6 +129,7 @@ def _measure(restarts: int, seed: int) -> list[dict]:
                 # EOF results, and discord results of a library without the
                 # exact path, carry no path: they come from the search
                 "path": getattr(res, "path", "optimizer"),
+                "closed_form": getattr(res, "closed_form", None),
                 "wall_s": wall,
             })
     grids = {  # oracle, resolution, grid points (bases, or basis pairs)
@@ -190,6 +215,8 @@ def main() -> None:
     rows = []
     for b, a in zip(before, after):
         fields = ("value_hex", "evaluations", "path", "wall_s")
+        if "closed_form" in a:
+            fields += ("closed_form",)
         if a["path"] == "battery":
             for side in (b, a):
                 side["ms_per_trial"] = side["wall_s"] / side["evaluations"] * 1e3
@@ -214,7 +241,7 @@ def main() -> None:
     }
     pathlib.Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
     for r in rows:
-        print(f"{r['fixture']:17s} {r['solve']:10s} {r['after']['path']:9s} "
+        print(f"{r['fixture']:17s} {r['solve']:18s} {r['after']['path']:9s} "
               f"evals {r['before']['evaluations']:5d} -> "
               f"{r['after']['evaluations']:5d}  time {r['before']['wall_s']*1e3:7.1f} -> "
               f"{r['after']['wall_s']*1e3:7.1f} ms  |dvalue| {r['abs_value_change']:.1e}")

@@ -224,6 +224,7 @@ def cmd_discord(args) -> int:
                 ("variant", res.variant),
                 ("value_bits", f"{res.value:.12g}"),
                 ("path", res.path),
+                ("closed_form", res.closed_form or "null"),
                 ("restarts", cfg.restarts),
                 ("evaluations", res.outcome.evaluations),
                 ("agreeing_restarts", res.outcome.agreeing_restarts),
@@ -233,6 +234,7 @@ def cmd_discord(args) -> int:
         return 0
     doc = _report(label, rho, "discord", res.variant, _value_to_json(res.value), res.measurement, cfg)
     doc["path"] = res.path
+    doc["closed_form"] = res.closed_form
     doc["agreeing_restarts"] = res.outcome.agreeing_restarts
     doc["restart_evaluations"] = list(res.outcome.restart_evaluations)
     _emit(doc, args)

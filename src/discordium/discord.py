@@ -16,14 +16,33 @@ For a fixed measurement the two evaluation routes are ``loss_functional``
 measurements and the ensemble form never increases under rank-1
 refinement.
 
-A two-qubit state of rank <= 2 has an exact path: purified with a qubit
-C, its extended discord is EOF(BC) + S(A) - S(AB) (Koashi and Winter,
-PRA 69, 022309 (2004)), and Wootters' construction of the optimal BC
-decomposition (PRL 80, 2245 (1998)) is induced by a projective A-basis,
-so D_P = D_PE and the basis comes in closed form.  ``discord_P`` and
-``discord_PE`` take it where it applies and the multi-restart search
-everywhere else; ``_discord_P`` and ``_discord_PE`` with ``search=True``
-run the search on every input, for the checks that measure it.
+Three closed forms replace the search where they apply, tried in this
+order (``_closed_form``):
+
+* ``koashi_winter`` (P and PE; two qubits, rank(rho) <= 2): purified with
+  a qubit C, the extended discord is EOF(BC) + S(A) - S(AB) (Koashi and
+  Winter, PRA 69, 022309 (2004)), and Wootters' construction of the
+  optimal BC decomposition (PRL 80, 2245 (1998)) is induced by a
+  projective A-basis, so D_P = D_PE and the basis comes in closed form.
+* ``uncorrelated`` (every variant, any dimensions, I(A:B) <= 1e-12): the
+  identity basis on each side; its loss, I(A:B) minus the classical
+  correlation its outcomes keep, lies in [0, I(A:B)].
+* ``zero_bloch`` (every variant; two qubits whose local Bloch vectors are
+  both below 1e-12, that is Bell-diagonal up to local unitaries): with the
+  correlation matrix T_ij = tr[rho (s_i x s_j)], A is measured along T's
+  top left singular vector and, two-sided, B along the matching right one
+  (Luo, PRA 77, 042303 (2008)).  A rank-1 POVM element w_k (I + n_k . s)
+  occurs with probability w_k and leaves B with Bloch vector T^T n_k, no
+  longer than the top singular value s_1, and h((1 + r) / 2) falls as r
+  grows, so the projective basis is optimal over all POVMs: D_PE(N) = D_P.
+  Data processing bounds the two-sided classical mutual information by the
+  one-sided value, so the two-sided discord equals D_P as well.
+
+``discord_P``, ``discord_PE`` and ``discord_two_sided`` take the first
+form that applies and the multi-restart search everywhere else; their
+results name the form in ``closed_form``.  ``_discord_P``, ``_discord_PE``
+and ``_discord_two_sided`` with ``search=True`` run the search on every
+input, for the checks that measure it.
 """
 
 from __future__ import annotations
@@ -65,6 +84,9 @@ class DiscordResult:
     value: float
     measurement: object
     outcome: OptimizationOutcome
+    # the closed form that gave the basis (see module docstring); None
+    # where the search ran
+    closed_form: str | None = None
 
     def __post_init__(self):
         if not self.value >= -1e-7:
@@ -72,9 +94,9 @@ class DiscordResult:
 
     @property
     def path(self) -> str:
-        """``"exact"`` for the closed-form basis, ``"optimizer"`` for the
+        """``"exact"`` for a closed-form basis, ``"optimizer"`` for the
         search (which always runs at least one evaluation)."""
-        return "exact" if self.outcome.evaluations == 0 else "optimizer"
+        return "optimizer" if self.closed_form is None else "exact"
 
 
 def loss_functional(rho: BipartiteState, m: KrausSet) -> float:
@@ -185,16 +207,16 @@ def _chart_size(N: int, n: int) -> int:
 
 # sigma_y (x) sigma_y on the BC pair; real, so tau below needs no conj of it
 _SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+# I, X, Y, Z: the basis of the real Fano form of a two-qubit state
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# A mutual information or a local Bloch vector length at or below this
+# counts as zero for the closed forms
+_ZERO_TOL = 1e-12
 
 
-def _has_exact_path(rho: BipartiteState) -> bool:
-    """Whether the closed-form basis applies (see module docstring)."""
-    return rho.n_A == rho.n_B == 2 and rho.state.rank <= 2
-
-
-def _koashi_winter_generator(rho: BipartiteState) -> complex:
-    """The off-diagonal entry z of the qubit-chart generator whose first
-    basis column induces Wootters' optimal decomposition of rho_BC.
+def _koashi_winter_column(rho: BipartiteState) -> np.ndarray:
+    """The first column of the qubit A-basis that induces Wootters' optimal
+    decomposition of rho_BC.
 
     rho_AB is purified with a qubit C from its two largest eigenpairs; the
     SVD of the A | BC amplitude matrix M = U diag(s) Vh gives the
@@ -221,25 +243,66 @@ def _koashi_winter_generator(rho: BipartiteState) -> complex:
     )
     # first row of T, and the basis column it gives
     g = u @ (math.cos(theta) * q[:, 0] + 1j * math.sin(theta) * q[:, 1]).conj()
-    g = g / np.linalg.norm(g)
+    return g / np.linalg.norm(g)
+
+
+def _bloch_column(n: np.ndarray) -> np.ndarray:
+    """A unit qubit vector whose projector is (I +- n . sigma) / 2 for the
+    real unit vector n; n and -n give the same basis, so the sign is taken
+    with n_z >= 0, away from the pole where the formula divides by zero."""
+    if n[2] < 0:
+        n = -n
+    g = np.array([1.0 + n[2], n[0] + 1j * n[1]])
+    return g / np.linalg.norm(g)
+
+
+def _closed_form(rho: BipartiteState, one_sided: bool):
+    """The first closed form of the module docstring that applies to rho,
+    as ``(name, g_A, g_B)``, where g is the first column of that side's
+    qubit basis or None for the identity; None when the search must run.
+    Koashi-Winter fixes only A's basis, so ``one_sided=False`` skips it."""
+    qubits = rho.n_A == rho.n_B == 2
+    if one_sided and qubits and rho.state.rank <= 2:
+        return "koashi_winter", _koashi_winter_column(rho), None
+    if mutual_information(rho) <= _ZERO_TOL:
+        return "uncorrelated", None, None
+    if qubits:
+        # M_ij = tr[rho (s_i (x) s_j)]: Bloch vectors in row and column 0, T below
+        fano = np.einsum("abcd,ica,jdb->ij", rho.matrix.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
+        if max(np.linalg.norm(fano[1:, 0]), np.linalg.norm(fano[0, 1:])) <= _ZERO_TOL:
+            u, _, vt = np.linalg.svd(fano[1:, 1:])
+            return "zero_bloch", _bloch_column(u[:, 0]), _bloch_column(vt[0])
+    return None
+
+
+def _chart_params(g: np.ndarray | None, N: int, n_params: int) -> np.ndarray:
+    """Chart angles of an N x N basis whose first column is g on the qubit
+    block and which fixes every other axis: z in the first off-diagonal
+    slot of the generator, every other angle 0; the identity for None."""
+    params = np.zeros(n_params)
+    if g is None:
+        return params
     # chart column 0 is (cos r, i (sin r / r) z*) with r = |z|
     a = abs(g[0])
     b = g[1] * (g[0].conjugate() / a) if a else g[1]
     r = math.atan2(abs(b), a)
-    return 1j * b.conjugate() * (r / abs(b)) if abs(b) else 0j
+    z = 1j * b.conjugate() * (r / abs(b)) if abs(b) else 0j
+    k = n_params - N * (N - 1)  # diagonal angles before the (0, 1) entry
+    params[k : k + 2] = z.real, z.imag
+    return params
 
 
 def _one_sided(
     rho: BipartiteState, N: int, n_params: int, cfg: OptimizerConfig, search: bool
-) -> tuple[OptimizationOutcome, np.ndarray]:
+) -> tuple[OptimizationOutcome, np.ndarray, str | None]:
     """Best basis of an N >= n_A extension of A, acting through its
-    restriction: the closed-form basis where it applies, unless ``search``,
-    and the multi-restart search otherwise.
+    restriction, and the closed form that gave it: a closed-form basis
+    where one applies, unless ``search``, and the multi-restart search
+    (form None) otherwise.
 
-    The exact path writes its basis as chart angles (z in the first
-    off-diagonal slot of the generator) and rebuilds it once, as the
-    search rebuilds its best point, so its value is the loss of the
-    returned basis.
+    The exact path writes its basis as chart angles and rebuilds it once,
+    as the search rebuilds its best point, so its value is the loss of
+    the returned basis.
     """
     n_A, n_B = rho.n_A, rho.n_B
     const = -conditional_entropy(rho)  # S(rho_A) - S(rho_AB)
@@ -251,48 +314,46 @@ def _one_sided(
             _conditional_blocks(pair, u[..., :n_A, :].swapaxes(-1, -2), n_B)
         )
 
-    if not search and _has_exact_path(rho):
-        z = _koashi_winter_generator(rho)
-        params = np.zeros(n_params)
-        k = n_params - N * (N - 1)  # diagonal angles before the (0, 1) entry
-        params[k : k + 2] = z.real, z.imag
+    form = None if search else _closed_form(rho, one_sided=True)
+    if form is not None:
+        params = _chart_params(form[1], N, n_params)
         u = unitary_from_vector(params, N)
         value = float(loss(u))
-        return OptimizationOutcome(value, params, (value,), True), u
+        return OptimizationOutcome(value, params, (value,), True), u, form[0]
     out = minimize_vector(
         StackedObjective(lambda x: loss(unitary_from_vector(x, N))), n_params, cfg
     )
-    return out, unitary_from_vector(out.best_params, N)
+    return out, unitary_from_vector(out.best_params, N), None
 
 
 def _discord_P(
     rho: BipartiteState, cfg: OptimizerConfig | None, search: bool
 ) -> DiscordResult:
-    """:func:`discord_P`; ``search=True`` skips the closed-form path."""
+    """:func:`discord_P`; ``search=True`` skips the closed-form paths."""
     cfg = cfg or OptimizerConfig()
     n_A = rho.n_A
-    out, u = _one_sided(rho, n_A, _chart_size(n_A, n_A), cfg, search)
-    return DiscordResult("P", out.best_value, ProjectiveBasis(n_A, u), out)
+    out, u, form = _one_sided(rho, n_A, _chart_size(n_A, n_A), cfg, search)
+    return DiscordResult("P", out.best_value, ProjectiveBasis(n_A, u), out, form)
 
 
 def discord_P(rho: BipartiteState, cfg: OptimizerConfig | None = None) -> DiscordResult:
     """Discord over projective measurements on A, searched over bases up to
     column phases (the projective chart of :func:`unitary_from_vector`),
-    or built in closed form where that applies (see module docstring)."""
+    or built in closed form where one applies (see module docstring)."""
     return _discord_P(rho, cfg, search=False)
 
 
 def _discord_PE(
     rho: BipartiteState, N: int | None, cfg: OptimizerConfig | None, search: bool
 ) -> DiscordResult:
-    """:func:`discord_PE`; ``search=True`` skips the closed-form path."""
+    """:func:`discord_PE`; ``search=True`` skips the closed-form paths."""
     cfg = cfg or OptimizerConfig()
     if N is None:
         N = default_extension_dim(rho)
     if N < rho.n_A:
         raise ValueError(f"extension dim {N} < n_A {rho.n_A}")
-    out, u = _one_sided(rho, N, N * N, cfg, search)
-    return DiscordResult(f"PE({N})", out.best_value, NeumarkBasis(rho.n_A, N, u), out)
+    out, u, form = _one_sided(rho, N, N * N, cfg, search)
+    return DiscordResult(f"PE({N})", out.best_value, NeumarkBasis(rho.n_A, N, u), out, form)
 
 
 def discord_PE(
@@ -305,8 +366,10 @@ def discord_PE(
     nonincreasing in N, but the value the search returns need not be: on
     n_A = 3 states the 81-angle search at N = 9 lands above its value at
     N = 4, and above D_P.  ``N=None`` picks :func:`default_extension_dim`.
-    On the exact path the basis is projective: the closed-form qubit basis
-    padded with N - 2 columns outside H_A.
+    All three closed forms of the module docstring apply at every N, since
+    each makes D_PE(N) = D_P, and their bases are projective: the
+    Koashi-Winter or zero-Bloch qubit basis, or the identity of H_A for an
+    uncorrelated state, padded with N - n_A columns outside H_A.
     """
     return _discord_PE(rho, N, cfg, search=False)
 
@@ -317,7 +380,63 @@ def discord_R(
     """Discord over rank-1 POVMs; identical to the Neumark-extended infimum,
     so this runs the same solve and reports the restricted POVM."""
     res = discord_PE(rho, N, cfg)
-    return DiscordResult("R", res.value, from_neumark(res.measurement), res.outcome)
+    return DiscordResult(
+        "R", res.value, from_neumark(res.measurement), res.outcome, res.closed_form
+    )
+
+
+def _discord_two_sided(
+    rho: BipartiteState,
+    N_A: int | None,
+    N_B: int | None,
+    cfg: OptimizerConfig | None,
+    search: bool,
+) -> DiscordResult:
+    """:func:`discord_two_sided`; ``search=True`` skips the closed-form paths."""
+    cfg = cfg or OptimizerConfig()
+    N_A = rho.n_A if N_A is None else N_A
+    N_B = rho.n_B if N_B is None else N_B
+    if N_A < rho.n_A or N_B < rho.n_B:
+        raise ValueError(f"extension dims ({N_A}, {N_B}) below ({rho.n_A}, {rho.n_B})")
+    n_A, n_B = rho.n_A, rho.n_B
+    const = mutual_information(rho)
+    pair = _pair_matrix(rho)
+    k_a, k_b = _chart_size(N_A, n_A), _chart_size(N_B, n_B)
+
+    def loss(u_a, u_b):
+        # one value per (m, N_A, N_A) and (m, N_B, N_B) stacked pair of bases
+        q = _classical_joint(
+            pair, u_a[:, :n_A, :].swapaxes(1, 2), u_b[:, :n_B, :].swapaxes(1, 2)
+        )
+        # post-measurement state is diagonal in the product extension basis,
+        # so the bracket reduces to classical entropies of the outcome table:
+        # its two marginals' sum x log x, minus the table's
+        add = np.add.reduce
+        table = np.concatenate([add(q, 2), add(q, 1), q.reshape(len(q), -1)], axis=1)
+        t = _xlog2x(table, overwrite=True)
+        k = N_A + N_B
+        return const + (add(t[:, :N_A], 1) + add(t[:, N_A:k], 1) - add(t[:, k:], 1))
+
+    def bases(x):
+        # A's and B's unitaries of one parameter vector, or of a stack
+        return unitary_from_vector(x[..., :k_a], N_A), unitary_from_vector(x[..., k_a:], N_B)
+
+    form = None if search else _closed_form(rho, one_sided=False)
+    if form is None:
+        out = minimize_vector(StackedObjective(lambda x: loss(*bases(x))), k_a + k_b, cfg)
+        u_a, u_b = bases(out.best_params)
+    else:
+        params = np.concatenate(
+            [_chart_params(form[1], N_A, k_a), _chart_params(form[2], N_B, k_b)]
+        )
+        u_a, u_b = bases(params)
+        value = float(loss(u_a[None], u_b[None])[0])
+        out = OptimizationOutcome(value, params, (value,), True)
+    measurement = (NeumarkBasis(n_A, N_A, u_a), NeumarkBasis(n_B, N_B, u_b))
+    return DiscordResult(
+        f"two_sided_PE({N_A},{N_B})", out.best_value, measurement, out,
+        None if form is None else form[0],
+    )
 
 
 def discord_two_sided(
@@ -332,37 +451,11 @@ def discord_two_sided(
     over pairs of extension bases.  Extension sizes default to the system
     dimensions (the projective members of each side's family); raising them
     can only lower the value.  A side whose extension size equals its
-    system size is searched over bases up to column phases.
+    system size is searched over bases up to column phases.  The
+    ``uncorrelated`` and ``zero_bloch`` closed forms of the module
+    docstring replace the search where they apply, at every extension size.
     """
-    cfg = cfg or OptimizerConfig()
-    N_A = rho.n_A if N_A is None else N_A
-    N_B = rho.n_B if N_B is None else N_B
-    if N_A < rho.n_A or N_B < rho.n_B:
-        raise ValueError(f"extension dims ({N_A}, {N_B}) below ({rho.n_A}, {rho.n_B})")
-    n_A, n_B = rho.n_A, rho.n_B
-    const = mutual_information(rho)
-    pair = _pair_matrix(rho)
-    k_a = _chart_size(N_A, n_A)
-
-    def objective(x):
-        u_a = unitary_from_vector(x[:, :k_a], N_A)
-        u_b = unitary_from_vector(x[:, k_a:], N_B)
-        q = _classical_joint(
-            pair, u_a[:, :n_A, :].swapaxes(1, 2), u_b[:, :n_B, :].swapaxes(1, 2)
-        )
-        # post-measurement state is diagonal in the product extension basis,
-        # so the bracket reduces to classical entropies of the outcome table:
-        # its two marginals' sum x log x, minus the table's
-        add = np.add.reduce
-        table = np.concatenate([add(q, 2), add(q, 1), q.reshape(len(x), -1)], axis=1)
-        t = _xlog2x(table, overwrite=True)
-        k = N_A + N_B
-        return const + (add(t[:, :N_A], 1) + add(t[:, N_A:k], 1) - add(t[:, k:], 1))
-
-    out = minimize_vector(StackedObjective(objective), k_a + _chart_size(N_B, n_B), cfg)
-    nb_a = NeumarkBasis(n_A, N_A, unitary_from_vector(out.best_params[:k_a], N_A))
-    nb_b = NeumarkBasis(n_B, N_B, unitary_from_vector(out.best_params[k_a:], N_B))
-    return DiscordResult(f"two_sided_PE({N_A},{N_B})", out.best_value, (nb_a, nb_b), out)
+    return _discord_two_sided(rho, N_A, N_B, cfg, search=False)
 
 
 def two_sided_loss(rho: BipartiteState, nb_a: NeumarkBasis, nb_b: NeumarkBasis) -> float:

@@ -9,9 +9,12 @@ rows, and shares no code with the search.  ``grid_discord_qubit`` (n_A =
 2) builds its own grid but still contracts it with the search's
 ``_conditional_blocks`` and ``_branch_entropy_contrib``: the benchmark's
 traced run times those two kernels at this module's import sites, so they
-stay until the benchmark changes.  ``run_battery`` samples seeded random
-states and measurements and machine-checks one proved inequality or
-identity per battery; the tolerance of every battery lives in one table.
+stay until the benchmark changes.  ``luo_discord`` is Luo's closed form
+for two-qubit states with maximally mixed marginals, from the same Fano
+form and sharing no code with the closed-form paths of ``discord``.
+``run_battery`` samples seeded random states and measurements and
+machine-checks one proved inequality or identity per battery; the
+tolerance of every battery lives in one table.
 """
 
 from __future__ import annotations
@@ -160,15 +163,21 @@ def _fano_rows(tt: np.ndarray, pp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fano_form(rho: BipartiteState) -> np.ndarray:
+    """The real 4 x 4 Fano form M_ij = tr[rho (s_i (x) s_j)] of a two-qubit
+    state over s = (I, X, Y, Z): the local Bloch vectors in row and column
+    0, the correlation matrix T below."""
+    blocks = rho.matrix.reshape(2, 2, 2, 2)
+    return np.einsum("abcd,ica,jdb->ij", blocks, _PAULI, _PAULI).real
+
+
 def grid_discord_two_sided(rho: BipartiteState, resolution: int) -> float:
     """Brute-force two-sided discord of a two-qubit state over product
     projective bases on the same Bloch grid for each side."""
     if rho.n_A != 2 or rho.n_B != 2:
         raise ValueError("two-sided grid oracle needs a 2x2 state")
-    # real Fano form M_ij = tr[rho (s_i (x) s_j)] over s = (I, X, Y, Z), so
-    # that tr[rho (P (x) Q)] = x_P . M . x_Q / 4 for Fano rows x
-    blocks = rho.matrix.reshape(2, 2, 2, 2)
-    fano = np.einsum("abcd,ica,jdb->ij", blocks, _PAULI, _PAULI).real
+    # tr[rho (P (x) Q)] = x_P . M . x_Q / 4 for Fano rows x
+    fano = _fano_form(rho)
     x = _fano_rows(*_bloch_grid_angles(resolution))
     right = (fano @ x.T) / 4  # (4, 2 G)
     n = len(x) // 2
@@ -185,6 +194,28 @@ def grid_discord_two_sided(rho: BipartiteState, resolution: int) -> float:
         rows = -_xlog2x(q[:, 0] + q[:, 1]).reshape(-1, 2).sum(axis=1)
         best = min(best, float((joint - rows[:, None] - cols).min()))
     return mutual_information(rho) + best
+
+
+def luo_discord(rho: BipartiteState) -> float | None:
+    """Luo's closed form (PRA 77, 042303 (2008)) of the discord of a
+    two-qubit state whose local Bloch vectors vanish: I(A:B) minus the
+    classical correlation (1 - c)/2 log2(1 - c) + (1 + c)/2 log2(1 + c),
+    where c is the largest singular value of the correlation matrix
+    T_ij = tr[rho (s_i (x) s_j)].  Luo states it for Bell-diagonal states,
+    where T is diagonal; local unitaries bring every such state to that
+    form without moving c or any entropy.  Measuring B as well, or with a
+    rank-1 POVM, gains nothing on these states, so the projective,
+    extended and two-sided discords all equal it.  None for a state
+    outside the family (any local Bloch component above 1e-12).
+    """
+    if (rho.n_A, rho.n_B) != (2, 2):
+        return None
+    fano = _fano_form(rho)
+    if max(np.abs(fano[0, 1:]).max(), np.abs(fano[1:, 0]).max()) > 1e-12:
+        return None
+    c = min(1.0, float(np.linalg.norm(fano[1:, 1:], 2)))
+    classical = sum(x / 2 * np.log2(x) for x in (1 - c, 1 + c) if x > 0)
+    return mutual_information(rho) - classical
 
 
 # -- batteries -----------------------------------------------------------------

@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  Every tolerance is fixed
 here, never loosened at runtime; the seeds make each criterion a frozen,
 reproducible experiment.  The criteria test the search, so their solves
-go through ``_discord_P``/``_discord_PE`` with ``search=True`` also where
-the closed-form path applies.  Heavy per-state sweeps fan out across
+go through ``_discord_P``, ``_discord_PE`` and ``_discord_two_sided`` with
+``search=True`` also where a closed-form path applies.  Heavy per-state sweeps fan out across
 processes (capped by DISCORDIUM_THREADS).
 """
 
@@ -19,7 +19,7 @@ from discordium.cli import load_state
 from discordium.discord import (
     _discord_P,
     _discord_PE,
-    discord_two_sided,
+    _discord_two_sided,
     ensemble_loss,
     loss_functional,
 )
@@ -103,7 +103,7 @@ def _eof_gap(seed: int) -> float:
 
 def _two_sided_value(seed: int) -> float:
     rho = ginibre_state(2, 2, (seed % 4) + 1, seed=seed)
-    return discord_two_sided(rho, cfg=TS_CFG).value
+    return _discord_two_sided(rho, None, None, TS_CFG, search=True).value
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,7 @@ def test_criterion_05_zero_discord_characterization():
     variants = [
         _discord_P(bell, P_CFG, search=True).value,
         _discord_PE(bell, 4, PE_CFG, search=True).value,
-        discord_two_sided(bell, cfg=TS_CFG).value,
+        _discord_two_sided(bell, None, None, TS_CFG, search=True).value,
     ]
     bell_ok = all(0.99 <= v <= 1.000001 for v in variants)
     elapsed = time.time() - t0
@@ -284,12 +284,12 @@ def test_criterion_10_two_sided_discord():
     from discordium.qmat import ginibre_density, product_state
 
     prod = product_state(ginibre_density(2, 2, rng), ginibre_density(2, 2, rng))
-    prod_value = discord_two_sided(prod, cfg=TS_CFG).value
+    prod_value = _discord_two_sided(prod, None, None, TS_CFG, search=True).value
     diag = classical_state([0.5, 0.5], [np.diag([1.0, 0]), np.diag([0.0, 1])])
-    diag_value = discord_two_sided(diag, cfg=TS_CFG).value
+    diag_value = _discord_two_sided(diag, None, None, TS_CFG, search=True).value
 
     bell = bell_state()
-    bell_value = discord_two_sided(bell, cfg=TS_CFG).value
+    bell_value = _discord_two_sided(bell, None, None, TS_CFG, search=True).value
     oracle = grid_discord_two_sided(bell, 16)
     elapsed = time.time() - t0
     ok = (

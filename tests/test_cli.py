@@ -33,6 +33,15 @@ from random_states import random_classical
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
+@pytest.fixture
+def searched(tmp_path):
+    """A saved rank-4 two-qubit state that no closed form covers (its
+    local Bloch vectors are nonzero), so every variant runs the search."""
+    path = tmp_path / "rank4.json"
+    save_state(ginibre_state(2, 2, 4, seed=3), path)
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -158,9 +167,9 @@ class TestDiscordCommand:
         doc = json.loads(out)
         assert doc["value_bits"] <= 1e-5
 
-    def test_determinism(self, capsys):
+    def test_determinism(self, capsys, searched):
         args = (
-            "discord", str(FIXTURES / "werner_p075.json"),
+            "discord", searched,
             "--variant", "P", "--seed", "1", "--restarts", "4", "--max-iters", "600",
         )
         code_a, out_a, _ = run_cli(capsys, *args)
@@ -182,11 +191,9 @@ class TestDiscordCommand:
         code, out, err = run_cli(capsys, *args, "--table")
         assert code == 0 and err.count("warning:") == 1
 
-    def test_agreeing_restarts_do_not_warn(self, capsys):
+    def test_agreeing_restarts_do_not_warn(self, capsys, searched):
         for extra in (("--restarts", "4"), ("--restarts", "1", "--max-iters", "20")):
-            code, out, err = run_cli(
-                capsys, "discord", str(FIXTURES / "werner_p075.json"), "--max-iters", "600", *extra
-            )
+            code, out, err = run_cli(capsys, "discord", searched, "--max-iters", "600", *extra)
             assert code == 0 and err == ""
         # the exact path has one value and no restarts to agree
         code, _, err = run_cli(capsys, "discord", str(FIXTURES / "rank2_00.json"))
@@ -245,7 +252,7 @@ class TestDiscordCommand:
         again = evaluate_measurement(rho, measurement)
         assert abs(again - doc["value_bits"]) < 1e-9
 
-    def test_path(self, capsys):
+    def test_path(self, capsys, searched):
         path = str(FIXTURES / "rank2_00.json")
         code, out, _ = run_cli(capsys, "discord", path, "--variant", "PE", "--N", "4")
         assert code == 0
@@ -258,17 +265,16 @@ class TestDiscordCommand:
             line.split() for line in out.splitlines()
         ).items()
         code, out, _ = run_cli(
-            capsys, "discord", str(FIXTURES / "product.json"), "--restarts", "1",
-            "--max-iters", "300",
+            capsys, "discord", searched, "--restarts", "1", "--max-iters", "300",
         )
         assert code == 0
         assert json.loads(out)["path"] == "optimizer"
 
-    def test_restart_diagnostics(self, capsys):
+    def test_restart_diagnostics(self, capsys, searched):
         from discordium.discord import discord_P
         from discordium.optimize import OptimizerConfig
 
-        path = str(FIXTURES / "werner_p075.json")  # rank 4, so the search runs
+        path = searched
         args = ("discord", path, "--restarts", "3", "--max-iters", "600")
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
@@ -288,6 +294,32 @@ class TestDiscordCommand:
         assert (doc["path"], doc["agreeing_restarts"], doc["restart_evaluations"]) == (
             "exact", 1, []
         )
+
+    @pytest.mark.parametrize(
+        "name, variant, form",
+        [
+            ("rank2_00", "P", "koashi_winter"),
+            ("rank2_00", "PE", "koashi_winter"),
+            ("werner_p050", "P", "zero_bloch"),
+            ("werner_p050", "R", "zero_bloch"),
+            ("bell", "two-sided", "zero_bloch"),
+            ("product", "PE", "uncorrelated"),
+            ("product", "two-sided", "uncorrelated"),
+            (None, "P", None),
+            (None, "two-sided", None),
+        ],
+    )
+    def test_closed_form_named(self, capsys, searched, name, variant, form):
+        path = searched if name is None else str(FIXTURES / f"{name}.json")
+        args = ("discord", path, "--variant", variant, "--restarts", "1", "--max-iters", "50")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["closed_form"] == form
+        assert doc["path"] == ("optimizer" if form is None else "exact")
+        code, out, _ = run_cli(capsys, *args, "--table")
+        assert code == 0
+        assert dict(line.split() for line in out.splitlines())["closed_form"] == (form or "null")
 
     def test_two_sided(self, capsys):
         code, out, _ = run_cli(

@@ -9,6 +9,7 @@ from discordium.discord import (
     _branch_entropy_contrib,
     _discord_P,
     _discord_PE,
+    _discord_two_sided,
     default_extension_dim,
     discord_P,
     discord_PE,
@@ -106,7 +107,7 @@ class TestDiscordP:
     def test_product_state_zero(self):
         rng = np.random.default_rng(3)
         rho = product_state(ginibre_density(2, 2, rng), ginibre_density(2, 2, rng))
-        assert discord_P(rho, FAST).value < 1e-6
+        assert _discord_P(rho, FAST, search=True).value < 1e-6
 
     def test_bell_is_one(self):
         res = _discord_P(bell_state(), FAST, search=True)
@@ -122,7 +123,7 @@ class TestDiscordP:
     def test_werner_matches_grid_oracle(self):
         rho = werner(0.5)
         oracle = grid_discord_qubit(rho, 400)
-        assert abs(discord_P(rho, FAST).value - oracle) < 1e-4
+        assert abs(_discord_P(rho, FAST, search=True).value - oracle) < 1e-4
 
     def test_reevaluation_matches(self):
         rho = ginibre_state(2, 2, 3, seed=4)
@@ -142,7 +143,7 @@ class TestDiscordPE:
         rng = np.random.default_rng(5)
         rho = product_state(ginibre_density(2, 2, rng), ginibre_density(2, 2, rng))
         for n in (2, 4):
-            assert discord_PE(rho, n, FAST_PE).value < 1e-6
+            assert _discord_PE(rho, n, FAST_PE, search=True).value < 1e-6
 
     def test_trivial_extension_matches_projective(self):
         # N = n_A restricts the family to orthonormal bases of H_A itself
@@ -207,14 +208,14 @@ class TestTwoSided:
     def test_product_state_zero(self):
         rng = np.random.default_rng(15)
         rho = product_state(ginibre_density(2, 2, rng), ginibre_density(2, 2, rng))
-        assert discord_two_sided(rho, cfg=FAST).value < 1e-6
+        assert _discord_two_sided(rho, None, None, FAST, search=True).value < 1e-6
 
     def test_classical_classical_zero(self):
         rho = classical_state([0.5, 0.5], [np.diag([1.0, 0]), np.diag([0.0, 1])])
-        assert discord_two_sided(rho, cfg=FAST).value < 1e-6
+        assert _discord_two_sided(rho, None, None, FAST, search=True).value < 1e-6
 
     def test_bell_matches_grid(self):
-        res = discord_two_sided(bell_state(), cfg=FAST)
+        res = _discord_two_sided(bell_state(), None, None, FAST, search=True)
         oracle = grid_discord_two_sided(bell_state(), 16)
         assert abs(res.value - 1.0) < 1e-4
         assert abs(res.value - oracle) < 1e-4

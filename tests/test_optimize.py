@@ -15,6 +15,8 @@ from discordium.discord import (
     _discord_PE,
     _ensemble_term,
     _pair_matrix,
+    discord_P,
+    discord_PE,
     discord_two_sided,
 )
 from discordium.entangle import eof_via_decomposition
@@ -32,7 +34,7 @@ from discordium.optimize import (
     minimize_vector,
     unitary_from_vector,
 )
-from discordium.qmat import ginibre_state
+from discordium.qmat import ginibre_density, ginibre_state, product_state, werner
 
 
 def _eigh_route(params, n):
@@ -271,6 +273,27 @@ _UNITARY_CALLS = {
 }
 
 
+_PRODUCT_3x3 = product_state(
+    ginibre_density(3, 3, np.random.default_rng(2)), ginibre_density(3, 3, np.random.default_rng(3))
+)
+# one solve of each closed form, with the family whose contract it keeps:
+# Koashi-Winter (rank 2), zero Bloch vectors (Werner) and uncorrelated
+_EXACT_SOLVES = {
+    "P-koashi_winter": ("P-2x2", lambda: discord_P(ginibre_state(2, 2, 2, seed=4))),
+    "P-zero_bloch": ("P-2x2", lambda: discord_P(werner(0.5))),
+    "P-uncorrelated": ("P-3x3", lambda: discord_P(_PRODUCT_3x3)),
+    "PE(4)-koashi_winter": ("PE(4)", lambda: discord_PE(ginibre_state(2, 2, 2, seed=4), 4)),
+    "PE(4)-zero_bloch": ("PE(4)", lambda: discord_PE(werner(0.5), 4)),
+    "PE(4)-uncorrelated": ("PE(4)", lambda: discord_PE(_PRODUCT_3x3, 4)),
+    "two-sided-zero_bloch": ("two-sided", lambda: discord_two_sided(werner(0.5))),
+    "two-sided-uncorrelated": ("two-sided", lambda: discord_two_sided(_PRODUCT_3x3)),
+}
+
+
+def _no_search(*args):
+    raise AssertionError("a closed-form solve started the search")
+
+
 class TestTracerContract:
     """A layer tracer replaces ``minimize_vector`` and ``unitary_from_vector``
     where the discord and entangle modules bound them, hands the search a
@@ -301,6 +324,22 @@ class TestTracerContract:
         plain = solve(cfg).outcome
         _same_outcome(plain, stacked)
         assert len(calls) == _UNITARY_CALLS[family](plain.evaluations)
+
+    @pytest.mark.parametrize("name", list(_EXACT_SOLVES))
+    def test_exact_path(self, monkeypatch, name):
+        # a closed-form solve has 0 evaluations, so under the same count it
+        # builds each side's unitary once and never calls the search
+        family, solve = _EXACT_SOLVES[name]
+        calls = []
+        build = discord_mod.unitary_from_vector
+        monkeypatch.setattr(
+            discord_mod, "unitary_from_vector", lambda *a: calls.append(1) or build(*a)
+        )
+        monkeypatch.setattr(discord_mod, "minimize_vector", _no_search)
+        res = solve()
+        assert (res.path, res.closed_form) == ("exact", name.rsplit("-", 1)[1])
+        assert res.outcome.evaluations == 0
+        assert len(calls) == _UNITARY_CALLS[family](0)
 
 
 class TestMinimize:
